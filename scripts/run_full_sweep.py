@@ -2,12 +2,13 @@
 """Full phase-transition grid: m = 2..64 (step 2), s = 1..m/2, 1000 trials
 per cell, n = 256.
 
-This is the long-running profile. A single cell at m = 64, s = 32 takes
-on the order of a minute per trial when recovery fails (the solver runs
-to its iteration cap), so the whole grid is a multi-day job on one
-machine. Set QCS_WORKERS to use more cores; the sweep is resumable, so
-interrupting it and rerunning with the same arguments continues where it
-stopped.
+This is the long-running profile. A trial at m = 64, s = 32, where
+recovery fails, takes 0.2-1.6 s on one core (the solver usually
+converges to an l1 minimizer other than the signal in 500-900
+iterations). The grid holds 528 cells of 1000 trials, so the whole grid
+is a job of a day or more on one core. Set QCS_WORKERS to use
+more cores; the sweep is resumable, so interrupting it and rerunning
+with the same arguments continues where it stopped.
 
 For a quick look at the transition structure use run_desk_sweep.py
 instead.

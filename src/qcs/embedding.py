@@ -14,7 +14,8 @@ Two layouts coexist and both are fixed here:
 
 The two constraint matrices hold the same 4x4 blocks; they differ only
 by the fixed row permutation socp_row_permutation(m) and the zero t
-columns.
+columns. RealEmbedding stores the compact layout, which is all the
+solver reads, and derives the cone layout on access for the export.
 """
 
 from __future__ import annotations
@@ -62,41 +63,44 @@ def socp_row_permutation(m: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RealEmbedding:
-    """Frozen real data for one (Phi, y) instance."""
+    """Frozen real data for one (Phi, y) instance; the cone-program
+    fields are properties computed from the compact ones."""
 
     A_compact: np.ndarray   # 4m x 4n, coordinate-major rows and columns
-    A_socp: np.ndarray      # 4m x 5n, component-major rows, t columns zero
-    y_tilde: np.ndarray     # 4m, component-major (y_r, y_i, y_j, y_k)
-    c: np.ndarray           # 5n, ones at the t slots
+    y_compact: np.ndarray   # 4m, vec4(y), matching A_compact's row order
     m: int
     n: int
 
     @property
-    def y_compact(self) -> np.ndarray:
-        """Right-hand side matching A_compact's row order: vec4(y)."""
-        return self.y_tilde[socp_row_permutation(self.m)]
+    def A_socp(self) -> np.ndarray:
+        """4m x 5n, component-major rows, t columns zero."""
+        m, n = self.m, self.n
+        rows_by_component = (self.A_compact.reshape(m, 4, 4 * n)
+                             .transpose(1, 0, 2).reshape(4 * m, 4 * n))
+        A = np.zeros((4 * m, 5 * n))
+        col_map = (5 * np.arange(n)[:, None] + 1 + np.arange(4)[None, :]).ravel()
+        A[:, col_map] = rows_by_component
+        return A
+
+    @property
+    def y_tilde(self) -> np.ndarray:
+        """4m, component-major (y_r, y_i, y_j, y_k)."""
+        return self.y_compact.reshape(self.m, 4).T.reshape(4 * self.m)
+
+    @property
+    def c(self) -> np.ndarray:
+        """5n objective, ones at the t slots."""
+        c = np.zeros(5 * self.n)
+        c[0::5] = 1.0
+        return c
 
 
 def build_embedding(Phi: QMatrix, y: QVector) -> RealEmbedding:
     m, n = Phi.shape
     if len(y) != m:
         raise DimensionMismatch(f"y has length {len(y)}, expected {m}")
-    B = left_mult_blocks(Phi)
-
-    A_compact = B.transpose(0, 2, 1, 3).reshape(4 * m, 4 * n)
-
-    A_socp = np.zeros((4 * m, 5 * n))
-    rows_by_component = B.transpose(2, 0, 1, 3).reshape(4 * m, 4 * n)
-    col_map = (5 * np.arange(n)[:, None] + 1 + np.arange(4)[None, :]).ravel()
-    A_socp[:, col_map] = rows_by_component
-
-    y_tilde = y.data.T.reshape(4 * m).copy()
-
-    c = np.zeros(5 * n)
-    c[0::5] = 1.0
-
-    return RealEmbedding(A_compact=A_compact, A_socp=A_socp, y_tilde=y_tilde,
-                         c=c, m=m, n=n)
+    A_compact = left_mult_blocks(Phi).transpose(0, 2, 1, 3).reshape(4 * m, 4 * n)
+    return RealEmbedding(A_compact=A_compact, y_compact=vec4(y), m=m, n=n)
 
 
 def vec4(x: QVector) -> np.ndarray:

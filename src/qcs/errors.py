@@ -33,8 +33,8 @@ class SparsityOutOfRange(QcsError):
     """Requested sparsity s is outside [0, n]."""
 
 
-class FactorizationFailure(QcsError):
-    """The solver's Gram factorization failed even after regularization."""
+class NonFiniteInput(QcsError):
+    """A recovery problem's matrix or data holds NaN or Inf entries."""
 
 
 class BudgetExceeded(QcsError):

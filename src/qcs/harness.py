@@ -226,7 +226,7 @@ def run_sweep(config: ExperimentConfig, verbose: bool = False) -> PhaseDiagram:
 
     Completed trials found in records.jsonl are skipped, so an
     interrupted sweep resumed with the same config lands on the same
-    PhaseDiagram as an uninterrupted one.
+    PhaseDiagram, and the same file bytes, as an uninterrupted one.
     """
     os.makedirs(config.out_dir, exist_ok=True)
     config_path = os.path.join(config.out_dir, "config.json")
@@ -234,9 +234,13 @@ def run_sweep(config: ExperimentConfig, verbose: bool = False) -> PhaseDiagram:
     if os.path.exists(config_path):
         with open(config_path) as fh:
             existing = json.load(fh)
-        if existing != snapshot:
+        # out_dir names the directory config.json sits in, so any spelling
+        # of it (results, results/, ./results) is the same sweep; the stored
+        # spelling is kept so summary.json still echoes config.json
+        if {**existing, "out_dir": None} != {**snapshot, "out_dir": None}:
             raise ValueError(
                 f"{config_path} holds a different config; refusing to mix sweeps")
+        snapshot = existing
     else:
         with open(config_path, "w") as fh:
             json.dump(snapshot, fh, sort_keys=True, indent=1)
@@ -244,11 +248,17 @@ def run_sweep(config: ExperimentConfig, verbose: bool = False) -> PhaseDiagram:
     records_path = os.path.join(config.out_dir, "records.jsonl")
     done: dict[tuple[int, int, int], TrialRecord] = {}
     if os.path.exists(records_path):
-        with open(records_path) as fh:
-            for line in fh:
-                if line.strip():
-                    rec = TrialRecord.from_json_dict(json.loads(line))
-                    done[(rec.m, rec.s, rec.trial_index)] = rec
+        with open(records_path, "rb+") as fh:
+            raw = fh.read()
+            end = raw.rfind(b"\n") + 1
+            if end < len(raw):
+                # a crash mid-write left a torn last record: drop it, so the
+                # trial reruns and the next append starts on a fresh line
+                fh.truncate(end)
+        for line in raw[:end].decode().splitlines():
+            if line.strip():
+                rec = TrialRecord.from_json_dict(json.loads(line))
+                done[(rec.m, rec.s, rec.trial_index)] = rec
 
     workers = worker_count()
     pool = None

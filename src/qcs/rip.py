@@ -23,7 +23,8 @@ from itertools import combinations
 import numpy as np
 
 from .errors import BudgetExceeded, ConditionViolated, DegenerateDelta
-from .qlinalg import QMatrix, SupportSet, adjoint, complex_adjoint, matmul
+from .qlinalg import (QMatrix, SupportSet, _split_complex, adjoint, complex_adjoint,
+                      matmul)
 from .random import PURPOSE_RIP, RngStream, derive_stream_id
 
 DELTA_FLOOR = 1e-14
@@ -99,11 +100,6 @@ def exact_delta(Phi: QMatrix, s: int, budget: int = DEFAULT_BUDGET) -> RipReport
                      elapsed=time.perf_counter() - t0)
 
 
-def _complex_pair(Phi: QMatrix) -> tuple[np.ndarray, np.ndarray]:
-    return (Phi.data[..., 0] + 1j * Phi.data[..., 1],
-            Phi.data[..., 2] + 1j * Phi.data[..., 3])
-
-
 def _batched_sparse_image(P1, P2, idx, z1, z2):
     """(Phi x)_batch for batched sparse x given its complex-pair entries.
 
@@ -136,7 +132,7 @@ def sampled_delta_lower_bound(Phi: QMatrix, s: int, trials: int,
     if rng is None:
         rng = RngStream(0, derive_stream_id(PURPOSE_RIP, Phi.shape[0], s, 0))
     t0 = time.perf_counter()
-    P1, P2 = _complex_pair(Phi)
+    P1, P2 = _split_complex(Phi.data)
     best = -1.0
     best_S: tuple[int, ...] = tuple(range(s))
     done = 0
@@ -149,9 +145,7 @@ def sampled_delta_lower_bound(Phi: QMatrix, s: int, trials: int,
         nrm = np.sqrt(np.sum(comp * comp, axis=(1, 2), keepdims=True))
         nrm[nrm == 0] = 1.0
         comp = comp / nrm
-        z1 = comp[..., 0] + 1j * comp[..., 1]
-        z2 = comp[..., 2] + 1j * comp[..., 3]
-        Y1, Y2 = _batched_sparse_image(P1, P2, idx, z1, z2)
+        Y1, Y2 = _batched_sparse_image(P1, P2, idx, *_split_complex(comp))
         vals = np.abs(np.sum(np.abs(Y1) ** 2 + np.abs(Y2) ** 2, axis=0) - 1.0)
         k = int(np.argmax(vals))
         if vals[k] > best:
@@ -180,7 +174,7 @@ def check_rip_ip(Phi: QMatrix, s1: int, s2: int, trials: int,
         warnings.warn(f"delta_{s1 + s2} = {delta:.3e} is numerically zero; "
                       "ratios are reported as 0", DegenerateDelta)
         return 0.0
-    P1, P2 = _complex_pair(Phi)
+    P1, P2 = _split_complex(Phi.data)
     best = 0.0
     done = 0
     while done < trials:
@@ -193,12 +187,8 @@ def check_rip_ip(Phi: QMatrix, s1: int, s2: int, trials: int,
         nx = np.sqrt(np.sum(cx * cx, axis=(1, 2)))
         ny = np.sqrt(np.sum(cy * cy, axis=(1, 2)))
         keep = (nx > 0) & (ny > 0)
-        X1, X2 = _batched_sparse_image(P1, P2, idx_x,
-                                       cx[..., 0] + 1j * cx[..., 1],
-                                       cx[..., 2] + 1j * cx[..., 3])
-        Y1, Y2 = _batched_sparse_image(P1, P2, idx_y,
-                                       cy[..., 0] + 1j * cy[..., 1],
-                                       cy[..., 2] + 1j * cy[..., 3])
+        X1, X2 = _batched_sparse_image(P1, P2, idx_x, *_split_complex(cx))
+        Y1, Y2 = _batched_sparse_image(P1, P2, idx_y, *_split_complex(cy))
         # <Phi x, Phi y> = sum_i conj(q_i) p_i over complex pairs
         part_a = np.sum(np.conj(Y1) * X1 + Y2 * np.conj(X2), axis=0)
         part_b = np.sum(np.conj(Y1) * X2 - Y2 * np.conj(X1), axis=0)

@@ -10,11 +10,13 @@ where A is the 4m x 4n compact embedding, groups of four real slots are
 quaternion coordinates, and C is {b} or the ball of radius eta around b.
 
 The splitting is consensus form between the separable term F(v, u) and
-the indicator of the graph {(v, u): A v = u}. The graph projection costs
-one Cholesky factorization of I + A A^T up front and a pair of
-triangular solves per iteration, and is independent of the penalty rho,
-so residual-balancing rho updates are free. Dual variables are stored
-unscaled; proximal arguments divide by rho where needed.
+the indicator of the graph {(v, u): A v = u}. The graph projection uses
+the explicit 4m x 4m inverse M = (I + A A^T)^{-1}, formed once per
+solve, and is independent of the penalty rho, so residual-balancing rho
+updates are free. An iteration costs four products with the 4m x 4n
+operator (three in the projection, one in the termination check) and
+one with M. Dual variables are stored unscaled; proximal arguments
+divide by rho where needed.
 """
 
 from __future__ import annotations
@@ -22,14 +24,12 @@ from __future__ import annotations
 import csv
 import enum
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .embedding import build_embedding, unvec4
-from .errors import FactorizationFailure
+from .errors import NonFiniteInput
 from .qlinalg import QMatrix, QVector, lp_norm
 
 RHO_MIN = 1e-10
@@ -58,6 +58,9 @@ class RecoveryProblem:
             raise ValueError(f"y has length {len(self.y)}, Phi has {m} rows")
         if not (math.isfinite(self.eta) and self.eta >= 0):
             raise ValueError(f"eta must be finite and >= 0, got {self.eta}")
+        for name, data in (("Phi", self.Phi.data), ("y", self.y.data)):
+            if not np.isfinite(data).all():
+                raise NonFiniteInput(f"{name} holds NaN or Inf entries")
 
 
 @dataclass
@@ -108,31 +111,22 @@ def block_soft_threshold(v: np.ndarray, kappa: float) -> np.ndarray:
 class GraphProjector:
     """Euclidean projection onto {(v, u): A v = u}.
 
-    Uses (I + A^T A)^{-1} = I - A^T (I + A A^T)^{-1} A, factoring the
-    small 4m x 4m matrix once. I + A A^T is positive definite by
-    construction, so a Cholesky failure means the inputs are broken
-    (NaN/Inf); one ridge retry is attempted before giving up.
+    Uses (I + A^T A)^{-1} = I - A^T M A with M = (I + A A^T)^{-1}, the
+    small 4m x 4m inverse, formed once. For finite A the eigenvalues of
+    I + A A^T are at least 1, so M always exists, with eigenvalues in
+    (0, 1]. The projected u needs no product of its own: with w = M A p
+    and v = p - A^T w, A v = A p - A A^T M A p = M A p = w.
     """
 
     def __init__(self, A: np.ndarray):
         self.A = np.ascontiguousarray(A)
         self.At = np.ascontiguousarray(A.T)
-        m4 = A.shape[0]
-        K = np.eye(m4) + self.A @ self.At
-        try:
-            self.chol = cho_factor(K, lower=True)
-        except np.linalg.LinAlgError:
-            warnings.warn("I + AA^T factorization failed; retrying with 1e-12 ridge")
-            try:
-                self.chol = cho_factor(K + 1e-12 * np.eye(m4), lower=True)
-            except np.linalg.LinAlgError as exc:
-                raise FactorizationFailure(f"Cholesky of I + AA^T failed: {exc}") from exc
+        self.M = np.linalg.inv(np.eye(A.shape[0]) + self.A @ self.At)
 
     def project(self, cv: np.ndarray, cu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         p = cv + self.At @ cu
-        w = cho_solve(self.chol, self.A @ p)
-        v = p - self.At @ w
-        return v, self.A @ v
+        w = self.M @ (self.A @ p)
+        return p - self.At @ w, w
 
 
 @dataclass
@@ -141,7 +135,6 @@ class AdmmState:
     b: np.ndarray
     eta: float
     rho: float
-    n: int
     v_half: np.ndarray
     u_half: np.ndarray
     v_proj: np.ndarray
@@ -156,12 +149,11 @@ class AdmmState:
 def init_admm_state(projector: GraphProjector, b: np.ndarray, eta: float,
                     rho: float) -> AdmmState:
     """Cold start at zero (no warm starts across trials)."""
-    dim_v = projector.A.shape[1]
-    dim_u = projector.A.shape[0]
-    z_v = np.zeros(dim_v)
-    z_u = np.zeros(dim_u)
+    m4, n4 = projector.A.shape
+    z_v = np.zeros(n4)
+    z_u = np.zeros(m4)
     return AdmmState(projector=projector, b=np.asarray(b, dtype=np.float64),
-                     eta=float(eta), rho=float(rho), n=dim_v // 4,
+                     eta=float(eta), rho=float(rho),
                      v_half=z_v.copy(), u_half=z_u.copy(),
                      v_proj=z_v.copy(), u_proj=z_u.copy(),
                      v_prev=z_v.copy(), u_prev=z_u.copy(),
@@ -181,7 +173,7 @@ def _project_data_set(r: np.ndarray, b: np.ndarray, eta: float) -> np.ndarray:
 
 def admm_step(state: AdmmState) -> AdmmState:
     rho = state.rho
-    v_arg = (state.v_proj - state.lam_v / rho).reshape(state.n, 4)
+    v_arg = (state.v_proj - state.lam_v / rho).reshape(-1, 4)
     v_half = block_soft_threshold(v_arg, 1.0 / rho).reshape(-1)
     u_half = _project_data_set(state.u_proj - state.lam_u / rho, state.b, state.eta)
 
@@ -197,28 +189,24 @@ def admm_step(state: AdmmState) -> AdmmState:
     return state
 
 
-def residuals(state: AdmmState) -> tuple[float, float]:
-    """(primal, dual) residual norms of the current state.
+def residuals(state: AdmmState) -> tuple[float, float, float, float]:
+    """(primal, dual, primal scale, dual scale) of the current state.
 
     Primal: violation of A v_half = u_half (u_half lies in C exactly).
     Dual: rho times the step of the projected iterate.
+    Scales for the relative tolerances: max(||A v_half||, ||u_half||) on
+    the primal side, the scaled-dual norm ||lambda|| / rho on the dual
+    side. A v_half is formed once and serves both primal terms.
     """
-    A = state.projector.A
-    primal = float(np.linalg.norm(A @ state.v_half - state.u_half))
+    Av = state.projector.A @ state.v_half
+    primal = float(np.linalg.norm(Av - state.u_half))
     dual = state.rho * math.sqrt(
         float(np.sum((state.v_proj - state.v_prev) ** 2))
         + float(np.sum((state.u_proj - state.u_prev) ** 2)))
-    return primal, dual
-
-
-def residual_scales(state: AdmmState) -> tuple[float, float]:
-    """Relative-tolerance scales: max(||A v_half||, ||u_half||) on the primal
-    side, the scaled-dual norm ||lambda|| / rho on the dual side."""
-    A = state.projector.A
-    pri = max(float(np.linalg.norm(A @ state.v_half)),
-              float(np.linalg.norm(state.u_half)))
-    dual = math.sqrt(float(np.sum(state.lam_v ** 2)) + float(np.sum(state.lam_u ** 2)))
-    return pri, dual / state.rho
+    primal_scale = max(float(np.linalg.norm(Av)), float(np.linalg.norm(state.u_half)))
+    dual_scale = math.sqrt(float(np.sum(state.lam_v ** 2))
+                           + float(np.sum(state.lam_u ** 2)))
+    return primal, dual, primal_scale, dual_scale / state.rho
 
 
 def _group_l1(v_flat: np.ndarray) -> float:
@@ -275,8 +263,7 @@ def solve(problem: RecoveryProblem, params: SolverParams | None = None) -> Solve
     try:
         for _ in range(params.max_iters):
             admm_step(state)
-            r_pri, r_dual = residuals(state)
-            s_pri, s_dual = residual_scales(state)
+            r_pri, r_dual, s_pri, s_dual = residuals(state)
             if trace is not None:
                 trace.writerow([state.iteration, repr(r_pri), repr(r_dual),
                                 repr(_group_l1(state.v_half)), repr(state.rho)])

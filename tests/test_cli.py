@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qcs.cli import main
-from qcs.qlinalg import matvec, save_json
+from qcs.qlinalg import load_json, matvec, save_json
 from qcs.random import RngStream, sample_gaussian_matrix, sample_sparse_signal
 from qcs.rip import exact_delta
 
@@ -61,6 +61,23 @@ def test_recover_missing_file_fails_cleanly(capsys, tmp_path):
     assert code == 1
     record = json.loads(err)
     assert "error" in record
+
+
+@pytest.mark.parametrize("target, index, value",
+                         [("phi", (0, 1, 2), float("nan")), ("y", (2, 0), float("inf"))])
+def test_recover_rejects_non_finite_input(capsys, instance_files, tmp_path,
+                                          target, index, value):
+    _, phi, y, _ = instance_files
+    paths = {"phi": phi, "y": y}
+    bad = load_json(paths[target])
+    bad.data[index] = value
+    paths[target] = str(tmp_path / f"bad_{target}.json")
+    save_json(bad, paths[target])
+    code, out, err = run_cli(capsys, ["recover", "--phi", paths["phi"],
+                                      "--y", paths["y"]])
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "NonFiniteInput"
 
 
 def test_rip_command(capsys, instance_files):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -142,6 +143,22 @@ def test_socp_t_columns_zero_and_drop():
     keep = [c for c in range(25) if c % 5 != 0]
     perm = socp_row_permutation(3)
     assert np.allclose(emb.A_socp[perm][:, keep], emb.A_compact, atol=1e-14)
+
+
+def test_embedding_stores_compact_layout_only():
+    # the cone layout is derived on access, entry for entry from the blocks
+    Phi, x, y = rand_instance(27, 3, 5)
+    emb = build_embedding(Phi, y)
+    arrays = {f.name for f in dataclasses.fields(emb)
+              if isinstance(getattr(emb, f.name), np.ndarray)}
+    assert arrays == {"A_compact", "y_compact"}
+    B = left_mult_blocks(Phi)
+    for i in range(3):
+        for k in range(5):
+            for e in range(4):
+                assert np.array_equal(emb.A_socp[e * 3 + i, 5 * k + 1:5 * k + 5],
+                                      B[i, k, e])
+    assert np.array_equal(emb.y_tilde, y.data.T.reshape(-1))
 
 
 def test_socp_objective_vector():

@@ -134,6 +134,42 @@ def test_sweep_resumes_partial_records(tmp_path):
     assert got == want
 
 
+def test_sweep_resume_drops_torn_last_record(tmp_path):
+    cfg = small_config(tmp_path)
+    run_sweep(cfg)
+    with open(os.path.join(cfg.out_dir, "records.jsonl"), "rb") as fh:
+        full_records = fh.read()
+    summary = open(os.path.join(cfg.out_dir, "summary.json")).read()
+
+    # a crash in the middle of writing the last record
+    torn_dir = str(tmp_path / "torn")
+    cfg_t = small_config(tmp_path, out_dir=torn_dir)
+    os.makedirs(torn_dir)
+    with open(os.path.join(torn_dir, "config.json"), "w") as fh:
+        json.dump(cfg_t.to_json_dict(), fh, sort_keys=True, indent=1)
+    last_start = full_records.rindex(b"\n", 0, len(full_records) - 1) + 1
+    cut = last_start + (len(full_records) - last_start) // 2
+    with open(os.path.join(torn_dir, "records.jsonl"), "wb") as fh:
+        fh.write(full_records[:cut])
+    run_sweep(cfg_t)
+    with open(os.path.join(torn_dir, "records.jsonl"), "rb") as fh:
+        assert fh.read() == full_records
+    assert (open(os.path.join(torn_dir, "summary.json")).read()
+            == summary.replace(cfg.out_dir, torn_dir))
+
+
+def test_sweep_resume_ignores_out_dir_spelling(tmp_path):
+    cfg = small_config(tmp_path)
+    run_sweep(cfg)
+    files = {name: open(os.path.join(cfg.out_dir, name)).read()
+             for name in ("config.json", "records.jsonl", "summary.json")}
+    respelled = small_config(tmp_path, out_dir=cfg.out_dir + os.sep)
+    diagram = run_sweep(respelled)
+    assert diagram.config["out_dir"] == cfg.out_dir
+    for name, text in files.items():
+        assert open(os.path.join(cfg.out_dir, name)).read() == text
+
+
 def test_sweep_config_drift_guard(tmp_path):
     cfg = small_config(tmp_path)
     run_sweep(cfg)

@@ -6,6 +6,7 @@ import pytest
 
 import oracles
 from qcs.embedding import build_embedding, vec4
+from qcs.errors import NonFiniteInput
 from qcs.qlinalg import QMatrix, QVector, lp_norm, matvec, support
 from qcs.random import (
     PURPOSE_MATRIX,
@@ -24,7 +25,6 @@ from qcs.solver import (
     admm_step,
     block_soft_threshold,
     init_admm_state,
-    residual_scales,
     residuals,
     solve,
 )
@@ -102,6 +102,35 @@ def test_problem_validation():
         RecoveryProblem(Phi=Phi, y=y, eta=math.nan)
 
 
+def test_problem_rejects_non_finite_entries():
+    Phi, x, y = sparse_instance(0, 4, 6, 1)
+    bad_phi = Phi.copy()
+    bad_phi.data[1, 2, 3] = math.nan
+    with pytest.raises(NonFiniteInput):
+        RecoveryProblem(Phi=bad_phi, y=y, eta=0.0)
+    bad_y = y.copy()
+    bad_y.data[0, 0] = math.inf
+    with pytest.raises(NonFiniteInput):
+        RecoveryProblem(Phi=Phi, y=bad_y, eta=0.0)
+
+
+# ---------------------------------------------------------------------------
+# graph projection
+
+
+@pytest.mark.parametrize("m4, n4", [(4, 12), (16, 64), (32, 1024)])
+def test_projection_u_equals_a_v(np_rng, m4, n4):
+    # project returns u = A v without forming A v. Entries have the
+    # variance of a sampled embedding (1/(4m) per real slot); the zero
+    # operator is the degenerate end where u must vanish.
+    for A in (np_rng.standard_normal((m4, n4)) / math.sqrt(m4), np.zeros((m4, n4))):
+        proj = GraphProjector(A)
+        for _ in range(3):
+            v, u = proj.project(np_rng.standard_normal(n4),
+                                np_rng.standard_normal(m4))
+            assert np.linalg.norm(u - A @ v) <= 1e-12 * (1.0 + np.linalg.norm(u))
+
+
 # ---------------------------------------------------------------------------
 # pinned iteration-level behavior
 
@@ -112,7 +141,7 @@ def test_first_iteration_primal_residual_is_data_norm():
     emb = build_embedding(Phi, y)
     state = init_admm_state(GraphProjector(emb.A_compact), emb.y_compact, 0.0, 1.0)
     admm_step(state)
-    r_pri, _ = residuals(state)
+    r_pri, _, _, _ = residuals(state)
     assert r_pri == float(np.linalg.norm(emb.y_compact))
 
 
@@ -122,10 +151,10 @@ def test_dual_scale_halves_when_rho_doubles():
     state = init_admm_state(GraphProjector(emb.A_compact), emb.y_compact, 0.0, 1.0)
     for _ in range(5):
         admm_step(state)
-    _, scale_before = residual_scales(state)
+    _, _, _, scale_before = residuals(state)
     assert scale_before > 0.0
     state.rho *= 2.0
-    _, scale_after = residual_scales(state)
+    _, _, _, scale_after = residuals(state)
     assert scale_after == scale_before / 2.0
 
 
