@@ -9,6 +9,7 @@ JSON error record on stderr), 2 usage errors (argparse).
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -61,8 +62,6 @@ def _solver_params_from_args(args) -> SolverParams:
         kw["tol_dual"] = args.tol_dual
     if args.no_polish:
         kw["polish"] = False
-    if args.trace is not None:
-        kw["trace_path"] = args.trace
     return SolverParams(**kw)
 
 
@@ -81,7 +80,16 @@ def cmd_recover(args) -> int:
     Phi = qlinalg.load_json(args.phi)
     y = qlinalg.load_json(args.y)
     params = _solver_params_from_args(args)
-    result = solve(RecoveryProblem(Phi, y, args.eta), params)
+    problem = RecoveryProblem(Phi, y, args.eta)
+    if args.trace is None:
+        result = solve(problem, params)
+    else:
+        with open(args.trace, "w", newline="") as fh:
+            trace = csv.writer(fh)
+            trace.writerow(["iteration", "primal_residual", "dual_residual",
+                            "objective", "rho"])
+            result = solve(problem, params,
+                           lambda it, *values: trace.writerow([it, *map(repr, values)]))
     record = {
         "status": result.status.value,
         "iterations": result.iterations,

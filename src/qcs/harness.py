@@ -21,10 +21,9 @@ import json
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
-from scipy import stats
 
 from . import random as qrandom
 from .errors import IoFailure, QcsError, SkippedPoint
@@ -42,6 +41,12 @@ def sweep_solver_params() -> SolverParams:
     but capped at an iteration count that keeps failing cells cheap.
     """
     return SolverParams(max_iters=3000, tol_primal=1e-9, tol_dual=1e-9)
+
+
+def _reject_unknown_keys(d: dict, cls, where: str) -> None:
+    unknown = sorted(set(d) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {where} key(s): {', '.join(unknown)}")
 
 
 @dataclass(frozen=True)
@@ -100,7 +105,9 @@ class ExperimentConfig:
     @classmethod
     def from_json_dict(cls, d: dict) -> ExperimentConfig:
         d = dict(d)
+        _reject_unknown_keys(d, cls, "config")
         if "solver" in d and isinstance(d["solver"], dict):
+            _reject_unknown_keys(d["solver"], SolverParams, "solver")
             d["solver"] = SolverParams(**d["solver"])
         if isinstance(d.get("s_rule"), list):
             d["s_rule"] = tuple(d["s_rule"])
@@ -390,6 +397,9 @@ def run_ratio_test(m: int, samples: int, base_seed: int = 0,
         raise ValueError("samples must be >= 1000")
     if mode not in ("quaternion", "real"):
         raise ValueError(f"mode must be quaternion|real, got {mode!r}")
+    # scipy.stats takes most of a second to import and only the KS
+    # distance below uses it
+    from scipy import stats
 
     x_rng = qrandom.trial_stream(base_seed, qrandom.PURPOSE_RATIO, m, 0, 0)
     phi_rng = qrandom.trial_stream(base_seed, qrandom.PURPOSE_RATIO, m, 0, 1)

@@ -16,14 +16,17 @@ solve, and is independent of the penalty rho, so residual-balancing rho
 updates are free. An iteration costs four products with the 4m x 4n
 operator (three in the projection, one in the termination check) and
 one with M. Dual variables are stored unscaled; proximal arguments
-divide by rho where needed.
+divide by rho where needed. Residual balancing multiplies or divides
+rho by RHO_FACTOR whenever one residual exceeds RHO_TRIGGER times the
+other. solve does no I/O; a caller that wants per-iteration diagnostics
+passes on_iteration.
 """
 
 from __future__ import annotations
 
-import csv
 import enum
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +37,9 @@ from .qlinalg import QMatrix, QVector, lp_norm
 
 RHO_MIN = 1e-10
 RHO_MAX = 1e10
+RHO_FACTOR = 2.0
+RHO_TRIGGER = 10.0
+POLISH_THRESHOLD = 1e-5
 POLISH_FEAS_SLACK = 1e-12
 POLISH_OBJ_SLACK = 1e-9
 
@@ -69,12 +75,7 @@ class SolverParams:
     max_iters: int = 50000
     tol_primal: float = 1e-10
     tol_dual: float = 1e-10
-    adaptive_rho: bool = True
-    rho_factor: float = 2.0
-    rho_trigger: float = 10.0
     polish: bool = True
-    polish_threshold: float = 1e-5
-    trace_path: str | None = None
 
     def __post_init__(self):
         if self.rho <= 0:
@@ -83,8 +84,6 @@ class SolverParams:
             raise ValueError("max_iters must be >= 1")
         if self.tol_primal <= 0 or self.tol_dual <= 0:
             raise ValueError("tolerances must be positive")
-        if self.rho_factor <= 1 or self.rho_trigger <= 1:
-            raise ValueError("rho_factor and rho_trigger must exceed 1")
 
 
 @dataclass
@@ -239,47 +238,41 @@ def _polish_candidate(A: np.ndarray, b: np.ndarray, eta: float, v_half: np.ndarr
     return z
 
 
-def solve(problem: RecoveryProblem, params: SolverParams | None = None) -> SolveResult:
+def solve(problem: RecoveryProblem, params: SolverParams | None = None,
+          on_iteration: Callable[[int, float, float, float, float], None] | None = None,
+          ) -> SolveResult:
+    """ADMM to the tolerances or max_iters, then the infeasibility check
+    and the support polish.
+
+    on_iteration, when given, is called after every iteration with
+    (iteration, primal residual, dual residual, group-l1 objective of
+    v_half, rho), rho being the value that iteration used.
+    """
     if params is None:
         params = SolverParams()
-    emb = build_embedding(problem.Phi, problem.y)
-    A = emb.A_compact
-    b = emb.y_compact
+    A, b = build_embedding(problem.Phi, problem.y)
     m4, n4 = A.shape
 
     projector = GraphProjector(A)
     state = init_admm_state(projector, b, problem.eta, params.rho)
 
-    trace_fh = None
-    trace = None
-    if params.trace_path is not None:
-        trace_fh = open(params.trace_path, "w", newline="")
-        trace = csv.writer(trace_fh)
-        trace.writerow(["iteration", "primal_residual", "dual_residual",
-                        "objective", "rho"])
-
     converged = False
     r_pri = r_dual = math.inf
-    try:
-        for _ in range(params.max_iters):
-            admm_step(state)
-            r_pri, r_dual, s_pri, s_dual = residuals(state)
-            if trace is not None:
-                trace.writerow([state.iteration, repr(r_pri), repr(r_dual),
-                                repr(_group_l1(state.v_half)), repr(state.rho)])
-            eps_pri = params.tol_primal * (math.sqrt(m4) + max(s_pri, float(np.linalg.norm(b))))
-            eps_dual = params.tol_dual * (math.sqrt(n4 + m4) + s_dual)
-            if r_pri <= eps_pri and r_dual <= eps_dual:
-                converged = True
-                break
-            if params.adaptive_rho:
-                if r_pri > params.rho_trigger * r_dual:
-                    state.rho = min(state.rho * params.rho_factor, RHO_MAX)
-                elif r_dual > params.rho_trigger * r_pri:
-                    state.rho = max(state.rho / params.rho_factor, RHO_MIN)
-    finally:
-        if trace_fh is not None:
-            trace_fh.close()
+    for _ in range(params.max_iters):
+        admm_step(state)
+        r_pri, r_dual, s_pri, s_dual = residuals(state)
+        if on_iteration is not None:
+            on_iteration(state.iteration, r_pri, r_dual, _group_l1(state.v_half),
+                         state.rho)
+        eps_pri = params.tol_primal * (math.sqrt(m4) + max(s_pri, float(np.linalg.norm(b))))
+        eps_dual = params.tol_dual * (math.sqrt(n4 + m4) + s_dual)
+        if r_pri <= eps_pri and r_dual <= eps_dual:
+            converged = True
+            break
+        if r_pri > RHO_TRIGGER * r_dual:
+            state.rho = min(state.rho * RHO_FACTOR, RHO_MAX)
+        elif r_dual > RHO_TRIGGER * r_pri:
+            state.rho = max(state.rho / RHO_FACTOR, RHO_MIN)
 
     if converged:
         status = SolveStatus.CONVERGED
@@ -293,8 +286,7 @@ def solve(problem: RecoveryProblem, params: SolverParams | None = None) -> Solve
     x_flat = state.v_half
     polished = False
     if params.polish and status is not SolveStatus.INFEASIBLE:
-        cand = _polish_candidate(A, b, problem.eta, state.v_half,
-                                 params.polish_threshold)
+        cand = _polish_candidate(A, b, problem.eta, state.v_half, POLISH_THRESHOLD)
         if cand is not None:
             x_flat = cand
             polished = True

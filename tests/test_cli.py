@@ -1,10 +1,14 @@
+import csv
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from qcs.cli import main
+import qcs
+from qcs.cli import build_config, build_parser, main
 from qcs.qlinalg import load_json, matvec, save_json
 from qcs.random import RngStream, sample_gaussian_matrix, sample_sparse_signal
 from qcs.rip import exact_delta
@@ -52,7 +56,11 @@ def test_recover_writes_solution(capsys, instance_files, tmp_path):
     assert out_path.exists()
     saved = json.loads(out_path.read_text())
     assert saved["kind"] == "qvector"
-    assert (tmp_path / "trace.csv").exists()
+    with open(tmp_path / "trace.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["iteration", "primal_residual", "dual_residual",
+                       "objective", "rho"]
+    assert len(rows) - 1 == json.loads(out)["iterations"]
 
 
 def test_recover_missing_file_fails_cleanly(capsys, tmp_path):
@@ -141,6 +149,38 @@ def test_sweep_config_file_with_overrides(capsys, tmp_path):
     assert code == 0
     summary = json.loads((tmp_path / "o" / "summary.json").read_text())
     assert summary["cells"][0]["trials"] == 2
+
+
+@pytest.mark.parametrize("extra, unknown", [({"trails": 3}, "trails"),
+                                            ({"solver": {"bogus": 1}}, "bogus")])
+def test_sweep_config_unknown_key_fails_cleanly(capsys, tmp_path, extra, unknown):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"n": 12, "m_values": [6], "s_rule": [1],
+                                    "trials": 1, **extra}))
+    code, out, err = run_cli(capsys, ["sweep", "--config", str(cfg_path),
+                                      "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert out == ""
+    record = json.loads(err)
+    assert record["error"] == "ValueError"
+    assert unknown in record["message"]
+    assert not (tmp_path / "o").exists()
+
+
+def test_sweep_full_profile_config():
+    config = build_config(build_parser().parse_args(["sweep", "--full"]))
+    assert len(config.cells()) == 528
+    assert config.trials == 1000
+    assert config.n == 256
+
+
+def test_import_does_not_load_scipy_stats():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qcs.__file__)))
+    probe = "import sys, qcs, qcs.cli; print('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_c0_command(capsys, tmp_path):

@@ -1,22 +1,8 @@
-import dataclasses
-import json
-
 import numpy as np
 import pytest
 
 import oracles
-from qcs.embedding import (
-    RealEmbedding,
-    build_embedding,
-    extract_solution,
-    left_mult_blocks,
-    save_socp_csv,
-    save_socp_json,
-    socp_row_permutation,
-    socp_to_json,
-    unvec4,
-    vec4,
-)
+from qcs.embedding import build_embedding, left_mult_blocks, unvec4, vec4
 from qcs.errors import BadLength
 from qcs.qlinalg import QMatrix, QVector, lp_norm, matvec
 from qcs.quaternion import I, ONE, Quaternion
@@ -83,21 +69,29 @@ def test_vec4_roundtrip_and_isometry(np_rng):
         unvec4(np.zeros(11))
 
 
+def test_unvec4_decodes_coordinate_major():
+    v = np.array([1.0, 2.0, 3.0, 4.0, 0.0, 0.0, 0.0, 0.0])
+    got = unvec4(v)
+    assert len(got) == 2
+    assert got[0] == Quaternion(1, 2, 3, 4)
+    assert got[1] == Quaternion(0, 0, 0, 0)
+
+
 # ---------------------------------------------------------------------------
 # compact embedding
 
 
 def test_compact_embedding_matches_reference():
     Phi, x, y = rand_instance(21, 3, 5)
-    emb = build_embedding(Phi, y)
-    assert emb.A_compact.shape == (12, 20)
-    assert np.allclose(emb.A_compact, oracles.ref_real_matrix(Phi), atol=1e-14)
+    A, _ = build_embedding(Phi, y)
+    assert A.shape == (12, 20)
+    assert np.allclose(A, oracles.ref_real_matrix(Phi), atol=1e-14)
 
 
 def test_compact_action_equals_matvec():
     Phi, x, y = rand_instance(22, 3, 5)
-    emb = build_embedding(Phi, y)
-    got = emb.A_compact @ vec4(x)
+    A, _ = build_embedding(Phi, y)
+    got = A @ vec4(x)
     assert np.allclose(got, vec4(matvec(Phi, x)), atol=1e-12)
 
 
@@ -105,9 +99,9 @@ def test_compact_action_bulk(np_rng):
     # many vectors through a handful of matrices
     for seed in range(5):
         Phi, _, y = rand_instance(30 + seed, 4, 6)
-        emb = build_embedding(Phi, y)
+        A, _ = build_embedding(Phi, y)
         X = np_rng.standard_normal((6 * 4, 200))
-        got = emb.A_compact @ X
+        got = A @ X
         for t in range(0, 200, 40):
             x = unvec4(X[:, t])
             assert np.allclose(got[:, t], vec4(matvec(Phi, x)), atol=1e-12)
@@ -116,138 +110,29 @@ def test_compact_action_bulk(np_rng):
 def test_least_squares_transfers_to_real_form():
     # solving the real system recovers the quaternion signal
     Phi, x, y = rand_instance(23, 6, 4)
-    emb = build_embedding(Phi, y)
-    sol, _, _, _ = np.linalg.lstsq(emb.A_compact, vec4(y), rcond=None)
+    A, _ = build_embedding(Phi, y)
+    sol, _, _, _ = np.linalg.lstsq(A, vec4(y), rcond=None)
     assert np.allclose(sol, vec4(x), atol=1e-8)
 
 
-# ---------------------------------------------------------------------------
-# cone-program layout
-
-
-def test_row_permutation_is_permutation():
-    perm = socp_row_permutation(7)
-    assert sorted(perm) == list(range(28))
-    # coordinate (i, component e) sits at component-major position e*m + i
-    m = 7
-    for i in range(m):
-        for e in range(4):
-            assert perm[4 * i + e] == e * m + i
-
-
-def test_socp_t_columns_zero_and_drop():
-    Phi, x, y = rand_instance(24, 3, 5)
-    emb = build_embedding(Phi, y)
-    assert emb.A_socp.shape == (12, 25)
-    assert np.all(emb.A_socp[:, 0::5] == 0.0)
-    keep = [c for c in range(25) if c % 5 != 0]
-    perm = socp_row_permutation(3)
-    assert np.allclose(emb.A_socp[perm][:, keep], emb.A_compact, atol=1e-14)
-
-
 def test_embedding_stores_compact_layout_only():
-    # the cone layout is derived on access, entry for entry from the blocks
+    # two arrays: the operator, block (i, k) at rows 4i.., columns 4k..,
+    # entry for entry the left-multiplication block, and vec4(y)
     Phi, x, y = rand_instance(27, 3, 5)
-    emb = build_embedding(Phi, y)
-    arrays = {f.name for f in dataclasses.fields(emb)
-              if isinstance(getattr(emb, f.name), np.ndarray)}
-    assert arrays == {"A_compact", "y_compact"}
+    built = build_embedding(Phi, y)
+    assert len(built) == 2
+    A, b = built
     B = left_mult_blocks(Phi)
     for i in range(3):
         for k in range(5):
-            for e in range(4):
-                assert np.array_equal(emb.A_socp[e * 3 + i, 5 * k + 1:5 * k + 5],
-                                      B[i, k, e])
-    assert np.array_equal(emb.y_tilde, y.data.T.reshape(-1))
-
-
-def test_socp_objective_vector():
-    Phi, x, y = rand_instance(25, 2, 4)
-    emb = build_embedding(Phi, y)
-    assert np.array_equal(emb.c[0::5], np.ones(4))
-    mask = np.ones(20, dtype=bool)
-    mask[0::5] = False
-    assert np.all(emb.c[mask] == 0.0)
-    # objective value at (t_k = |x_k|, x) equals the l1 norm
-    z = np.zeros(20)
-    for k in range(4):
-        z[5 * k] = float(np.linalg.norm(x.data[k]))
-        z[5 * k + 1:5 * k + 5] = x.data[k]
-    assert abs(emb.c @ z - lp_norm(x, 1)) < 1e-12
+            assert np.array_equal(A[4 * i:4 * i + 4, 4 * k:4 * k + 4], B[i, k])
+    assert np.array_equal(b, vec4(y))
 
 
 def test_y_layouts_agree():
+    # the data vector is y in the coordinate-major layout of the operator rows
     Phi, x, y = rand_instance(26, 4, 3)
-    emb = build_embedding(Phi, y)
-    assert np.array_equal(emb.y_compact, vec4(y))
-    perm = socp_row_permutation(4)
-    assert np.array_equal(emb.y_tilde[perm], vec4(y))
-
-
-# ---------------------------------------------------------------------------
-# solution extraction
-
-
-def test_extract_from_cone_layout():
-    z = np.zeros(10)
-    z[0] = 1.4     # t slot, ignored
-    z[1] = 1.0     # scalar part of x_0
-    z[4] = 1.0     # k part of x_0
-    got = extract_solution(z)
-    assert len(got) == 2
-    assert got[0] == Quaternion(1, 0, 0, 1)
-    assert got[1] == Quaternion(0, 0, 0, 0)
-
-
-def test_extract_from_compact_layout():
-    v = np.array([1.0, 2.0, 3.0, 4.0, 0.0, 0.0, 0.0, 0.0])
-    got = extract_solution(v)
-    assert got[0] == Quaternion(1, 2, 3, 4)
-
-
-def test_extract_ambiguous_needs_n():
-    z = np.zeros(20)
-    with pytest.raises(BadLength):
-        extract_solution(z)
-    assert len(extract_solution(z, n=4)) == 4
-    assert len(extract_solution(z, n=5)) == 5
-    with pytest.raises(BadLength):
-        extract_solution(z, n=3)
-    with pytest.raises(BadLength):
-        extract_solution(np.zeros(7))
-
-
-def test_extract_inverts_vec4(np_rng):
-    x = QVector(np_rng.standard_normal((5, 4)))
-    assert np.array_equal(extract_solution(vec4(x), n=5).data, x.data)
-
-
-# ---------------------------------------------------------------------------
-# export
-
-
-def test_socp_json_export(tmp_path):
-    Phi, x, y = rand_instance(27, 2, 3)
-    emb = build_embedding(Phi, y)
-    obj = socp_to_json(emb)
-    assert obj["m"] == 2 and obj["n"] == 3
-    assert len(obj["cone_groups"]) == 3
-    assert obj["cone_groups"][1] == [5, 6, 7, 8, 9]
-    path = tmp_path / "prob.json"
-    save_socp_json(emb, path)
-    back = json.loads(path.read_text())
-    assert back["A_shape"] == [8, 15]
-    assert np.allclose(np.array(back["A"]), emb.A_socp)
-    assert np.allclose(np.array(back["y_tilde"]), emb.y_tilde)
-
-
-def test_socp_csv_export(tmp_path):
-    Phi, x, y = rand_instance(28, 2, 3)
-    emb = build_embedding(Phi, y)
-    save_socp_csv(emb, tmp_path / "prob")
-    A = np.loadtxt(tmp_path / "prob_A.csv", delimiter=",")
-    yv = np.loadtxt(tmp_path / "prob_y.csv", delimiter=",")
-    cv = np.loadtxt(tmp_path / "prob_c.csv", delimiter=",")
-    assert np.allclose(A, emb.A_socp)
-    assert np.allclose(yv, emb.y_tilde)
-    assert np.allclose(cv, emb.c)
+    A, b = build_embedding(Phi, y)
+    assert b.shape == (A.shape[0],)
+    assert np.array_equal(b, vec4(y))
+    assert np.array_equal(unvec4(b).data, y.data)
