@@ -28,6 +28,8 @@ def build_config(args) -> harness.ExperimentConfig:
     if getattr(args, "config", None):
         with open(args.config) as fh:
             base = json.load(fh)
+        if not isinstance(base, dict):
+            raise ValueError(f"{args.config} must hold a JSON object")
     if getattr(args, "n", None) is not None:
         base["n"] = args.n
     if getattr(args, "m", None) is not None:

@@ -43,7 +43,10 @@ def sweep_solver_params() -> SolverParams:
     return SolverParams(max_iters=3000, tol_primal=1e-9, tol_dual=1e-9)
 
 
-def _reject_unknown_keys(d: dict, cls, where: str) -> None:
+def _check_object(d, cls, where: str) -> None:
+    """d must be a JSON object whose keys are field names of cls."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{where} must be a JSON object, got {type(d).__name__}")
     unknown = sorted(set(d) - {f.name for f in fields(cls)})
     if unknown:
         raise ValueError(f"unknown {where} key(s): {', '.join(unknown)}")
@@ -104,10 +107,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> ExperimentConfig:
+        _check_object(d, cls, "config")
         d = dict(d)
-        _reject_unknown_keys(d, cls, "config")
-        if "solver" in d and isinstance(d["solver"], dict):
-            _reject_unknown_keys(d["solver"], SolverParams, "solver")
+        if "solver" in d:
+            _check_object(d["solver"], SolverParams, "solver")
             d["solver"] = SolverParams(**d["solver"])
         if isinstance(d.get("s_rule"), list):
             d["s_rule"] = tuple(d["s_rule"])

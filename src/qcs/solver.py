@@ -1,21 +1,32 @@
-"""Group basis pursuit on the compact real embedding.
+"""Group basis pursuit on a real operator with groups of g slots.
 
 Solves  minimize ||z||_1  over z in H^n  subject to  Phi z = y  (eta = 0)
 or ||Phi z - y||_2 <= eta (eta > 0), by ADMM on the equivalent real
 problem
 
-    minimize  sum_k ||v_{4k:4k+4}||_2 + I_C(u)   subject to  A v = u,
+    minimize  sum_k ||v_{gk:gk+g}||_2 + I_C(u)   subject to  A v = u,
 
-where A is the 4m x 4n compact embedding, groups of four real slots are
-quaternion coordinates, and C is {b} or the ball of radius eta around b.
+where C is {b} or the ball of radius eta around b, and each group of g
+real slots is one coordinate. solve picks the group size from the data:
+
+- g = 1 when every imaginary part of Phi and y is exactly zero. A = Re Phi
+  (m x n) and b = Re y. This is exact: |z_k| >= |Re z_k| and Re z alone
+  is feasible, so the quaternion minimum is attained at a real vector,
+  and x_hat comes back with zero imaginary slots.
+- g = 4 otherwise. A is the 4m x 4n compact embedding and b = vec4(y),
+  so a group is the four components of a quaternion coordinate.
+
+The absolute terms of the stopping rule use the dimensions in H,
+sqrt(4m) and sqrt(4(m + n)), for either group size, so a real problem
+stops where its padded 4m x 4n form would.
 
 The splitting is consensus form between the separable term F(v, u) and
 the indicator of the graph {(v, u): A v = u}. The graph projection uses
-the explicit 4m x 4m inverse M = (I + A A^T)^{-1}, formed once per
-solve, and is independent of the penalty rho, so residual-balancing rho
-updates are free. An iteration costs four products with the 4m x 4n
-operator (three in the projection, one in the termination check) and
-one with M. Dual variables are stored unscaled; proximal arguments
+the explicit inverse M = (I + A A^T)^{-1}, formed once per solve over
+the rows of A, and is independent of the penalty rho, so
+residual-balancing rho updates are free. An iteration costs four
+products with A (three in the projection, one in the termination check)
+and one with M. Dual variables are stored unscaled; proximal arguments
 divide by rho where needed. Residual balancing multiplies or divides
 rho by RHO_FACTOR whenever one residual exceeds RHO_TRIGGER times the
 other. solve does no I/O; a caller that wants per-iteration diagnostics
@@ -111,9 +122,9 @@ class GraphProjector:
     """Euclidean projection onto {(v, u): A v = u}.
 
     Uses (I + A^T A)^{-1} = I - A^T M A with M = (I + A A^T)^{-1}, the
-    small 4m x 4m inverse, formed once. For finite A the eigenvalues of
-    I + A A^T are at least 1, so M always exists, with eigenvalues in
-    (0, 1]. The projected u needs no product of its own: with w = M A p
+    small inverse over the rows of A, formed once. For finite A the
+    eigenvalues of I + A A^T are at least 1, so M always exists, with
+    eigenvalues in (0, 1]. The projected u needs no product of its own: with w = M A p
     and v = p - A^T w, A v = A p - A A^T M A p = M A p = w.
     """
 
@@ -131,6 +142,7 @@ class GraphProjector:
 @dataclass
 class AdmmState:
     projector: GraphProjector
+    group: int
     b: np.ndarray
     eta: float
     rho: float
@@ -138,24 +150,26 @@ class AdmmState:
     u_half: np.ndarray
     v_proj: np.ndarray
     u_proj: np.ndarray
-    v_prev: np.ndarray
-    u_prev: np.ndarray
     lam_v: np.ndarray
     lam_u: np.ndarray
     iteration: int = 0
+    # squared step of the projected iterate (v_proj, u_proj) in the last
+    # iteration; the dual residual is rho times its root
+    step_sq: float = 0.0
 
 
 def init_admm_state(projector: GraphProjector, b: np.ndarray, eta: float,
-                    rho: float) -> AdmmState:
-    """Cold start at zero (no warm starts across trials)."""
-    m4, n4 = projector.A.shape
-    z_v = np.zeros(n4)
-    z_u = np.zeros(m4)
-    return AdmmState(projector=projector, b=np.asarray(b, dtype=np.float64),
+                    rho: float, group: int) -> AdmmState:
+    """Cold start at zero (no warm starts across trials); group is the
+    number of real slots per coordinate."""
+    rows, cols = projector.A.shape
+    z_v = np.zeros(cols)
+    z_u = np.zeros(rows)
+    return AdmmState(projector=projector, group=group,
+                     b=np.asarray(b, dtype=np.float64),
                      eta=float(eta), rho=float(rho),
                      v_half=z_v.copy(), u_half=z_u.copy(),
                      v_proj=z_v.copy(), u_proj=z_u.copy(),
-                     v_prev=z_v.copy(), u_prev=z_u.copy(),
                      lam_v=z_v.copy(), lam_u=z_u.copy())
 
 
@@ -172,14 +186,15 @@ def _project_data_set(r: np.ndarray, b: np.ndarray, eta: float) -> np.ndarray:
 
 def admm_step(state: AdmmState) -> AdmmState:
     rho = state.rho
-    v_arg = (state.v_proj - state.lam_v / rho).reshape(-1, 4)
+    v_arg = (state.v_proj - state.lam_v / rho).reshape(-1, state.group)
     v_half = block_soft_threshold(v_arg, 1.0 / rho).reshape(-1)
     u_half = _project_data_set(state.u_proj - state.lam_u / rho, state.b, state.eta)
 
     v_proj, u_proj = state.projector.project(v_half + state.lam_v / rho,
                                              u_half + state.lam_u / rho)
 
-    state.v_prev, state.u_prev = state.v_proj, state.u_proj
+    state.step_sq = (float(np.sum((v_proj - state.v_proj) ** 2))
+                     + float(np.sum((u_proj - state.u_proj) ** 2)))
     state.v_half, state.u_half = v_half, u_half
     state.v_proj, state.u_proj = v_proj, u_proj
     state.lam_v = state.lam_v + rho * (v_half - v_proj)
@@ -199,32 +214,30 @@ def residuals(state: AdmmState) -> tuple[float, float, float, float]:
     """
     Av = state.projector.A @ state.v_half
     primal = float(np.linalg.norm(Av - state.u_half))
-    dual = state.rho * math.sqrt(
-        float(np.sum((state.v_proj - state.v_prev) ** 2))
-        + float(np.sum((state.u_proj - state.u_prev) ** 2)))
+    dual = state.rho * math.sqrt(state.step_sq)
     primal_scale = max(float(np.linalg.norm(Av)), float(np.linalg.norm(state.u_half)))
     dual_scale = math.sqrt(float(np.sum(state.lam_v ** 2))
                            + float(np.sum(state.lam_u ** 2)))
     return primal, dual, primal_scale, dual_scale / state.rho
 
 
-def _group_l1(v_flat: np.ndarray) -> float:
-    groups = v_flat.reshape(-1, 4)
+def _group_l1(v_flat: np.ndarray, group: int) -> float:
+    groups = v_flat.reshape(-1, group)
     return float(np.sqrt(np.sum(groups * groups, axis=1)).sum())
 
 
 def _polish_candidate(A: np.ndarray, b: np.ndarray, eta: float, v_half: np.ndarray,
-                      threshold: float) -> np.ndarray | None:
+                      threshold: float, group: int) -> np.ndarray | None:
     """Least squares restricted to the active support; None when the
     restricted system is rank-deficient or the candidate fails the
     feasibility / objective acceptance rules."""
-    groups = v_half.reshape(-1, 4)
+    groups = v_half.reshape(-1, group)
     gnorm = np.sqrt(np.sum(groups * groups, axis=1))
     gmax = float(gnorm.max()) if gnorm.size else 0.0
     if gmax == 0.0:
         return None
     keep = np.nonzero(gnorm > threshold * gmax)[0]
-    slots = (4 * keep[:, None] + np.arange(4)[None, :]).reshape(-1)
+    slots = (group * keep[:, None] + np.arange(group)[None, :]).reshape(-1)
     A_S = A[:, slots]
     w, _, rank, _ = np.linalg.lstsq(A_S, b, rcond=None)
     if rank < A_S.shape[1]:
@@ -233,7 +246,7 @@ def _polish_candidate(A: np.ndarray, b: np.ndarray, eta: float, v_half: np.ndarr
     z[slots] = w
     if float(np.linalg.norm(A @ z - b)) > eta + POLISH_FEAS_SLACK:
         return None
-    if _group_l1(z) > _group_l1(v_half) + POLISH_OBJ_SLACK:
+    if _group_l1(z, group) > _group_l1(v_half, group) + POLISH_OBJ_SLACK:
         return None
     return z
 
@@ -250,11 +263,15 @@ def solve(problem: RecoveryProblem, params: SolverParams | None = None,
     """
     if params is None:
         params = SolverParams()
-    A, b = build_embedding(problem.Phi, problem.y)
-    m4, n4 = A.shape
+    A, b, group = _real_form(problem)
+    # absolute tolerance terms count dimensions in H for either group size
+    m, n = problem.Phi.shape
+    root_pri = math.sqrt(4 * m)
+    root_dual = math.sqrt(4 * (m + n))
+    norm_b = float(np.linalg.norm(b))
 
     projector = GraphProjector(A)
-    state = init_admm_state(projector, b, problem.eta, params.rho)
+    state = init_admm_state(projector, b, problem.eta, params.rho, group)
 
     converged = False
     r_pri = r_dual = math.inf
@@ -262,10 +279,10 @@ def solve(problem: RecoveryProblem, params: SolverParams | None = None,
         admm_step(state)
         r_pri, r_dual, s_pri, s_dual = residuals(state)
         if on_iteration is not None:
-            on_iteration(state.iteration, r_pri, r_dual, _group_l1(state.v_half),
-                         state.rho)
-        eps_pri = params.tol_primal * (math.sqrt(m4) + max(s_pri, float(np.linalg.norm(b))))
-        eps_dual = params.tol_dual * (math.sqrt(n4 + m4) + s_dual)
+            on_iteration(state.iteration, r_pri, r_dual,
+                         _group_l1(state.v_half, group), state.rho)
+        eps_pri = params.tol_primal * (root_pri + max(s_pri, norm_b))
+        eps_dual = params.tol_dual * (root_dual + s_dual)
         if r_pri <= eps_pri and r_dual <= eps_dual:
             converged = True
             break
@@ -278,7 +295,7 @@ def solve(problem: RecoveryProblem, params: SolverParams | None = None,
         status = SolveStatus.CONVERGED
     else:
         gap = _least_squares_gap(A, b)
-        if gap > problem.eta + 1e-9 * (1.0 + float(np.linalg.norm(b))):
+        if gap > problem.eta + 1e-9 * (1.0 + norm_b):
             status = SolveStatus.INFEASIBLE
         else:
             status = SolveStatus.MAX_ITERS
@@ -286,16 +303,28 @@ def solve(problem: RecoveryProblem, params: SolverParams | None = None,
     x_flat = state.v_half
     polished = False
     if params.polish and status is not SolveStatus.INFEASIBLE:
-        cand = _polish_candidate(A, b, problem.eta, state.v_half, POLISH_THRESHOLD)
+        cand = _polish_candidate(A, b, problem.eta, state.v_half, POLISH_THRESHOLD,
+                                 group)
         if cand is not None:
             x_flat = cand
             polished = True
 
-    x_hat = unvec4(x_flat)
+    x_hat = unvec4(x_flat) if group == 4 else QVector.from_real(x_flat)
     return SolveResult(x_hat=x_hat, iterations=state.iteration,
                        primal_residual=r_pri, dual_residual=r_dual,
                        objective=lp_norm(x_hat, 1), polished=polished,
                        status=status)
+
+
+def _real_form(problem: RecoveryProblem) -> tuple[np.ndarray, np.ndarray, int]:
+    """(A, b, g): the real operator, the data it must hit and the group
+    size; g = 1 on the m x n real part when every imaginary part of Phi
+    and y is exactly zero, else g = 4 on the compact embedding."""
+    Phi, y = problem.Phi.data, problem.y.data
+    if Phi[..., 1:].any() or y[:, 1:].any():
+        A, b = build_embedding(problem.Phi, problem.y)
+        return A, b, 4
+    return np.ascontiguousarray(Phi[..., 0]), np.ascontiguousarray(y[:, 0]), 1
 
 
 def _least_squares_gap(A: np.ndarray, b: np.ndarray) -> float:

@@ -10,7 +10,13 @@ import pytest
 import qcs
 from qcs.cli import build_config, build_parser, main
 from qcs.qlinalg import load_json, matvec, save_json
-from qcs.random import RngStream, sample_gaussian_matrix, sample_sparse_signal
+from qcs.random import (
+    RngStream,
+    sample_gaussian_matrix,
+    sample_real_gaussian_matrix,
+    sample_real_sparse_signal,
+    sample_sparse_signal,
+)
 from qcs.rip import exact_delta
 
 
@@ -61,6 +67,28 @@ def test_recover_writes_solution(capsys, instance_files, tmp_path):
     assert rows[0] == ["iteration", "primal_residual", "dual_residual",
                        "objective", "rho"]
     assert len(rows) - 1 == json.loads(out)["iterations"]
+
+
+@pytest.mark.parametrize("max_iters, status, iterations",
+                         [(None, "converged", 894), (40, "max_iters", 40)])
+def test_recover_real_input(capsys, tmp_path, max_iters, status, iterations):
+    # real Phi and y are solved on the m x n operator; status and iteration
+    # count are pinned to those of the 4m x 4n embedding
+    rng = RngStream(19, 0)
+    Phi = sample_real_gaussian_matrix(rng, 12, 40, 1.0 / 12)
+    x, _ = sample_real_sparse_signal(rng.child(1), 40, 4)
+    paths = {name: str(tmp_path / f"{name}.json") for name in ("phi", "y", "x")}
+    save_json(Phi, paths["phi"])
+    save_json(matvec(Phi, x), paths["y"])
+    save_json(x, paths["x"])
+    argv = ["recover", "--phi", paths["phi"], "--y", paths["y"], "--truth", paths["x"]]
+    if max_iters is not None:
+        argv += ["--max-iters", str(max_iters)]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    rec = json.loads(out)
+    assert (rec["status"], rec["iterations"], rec["polished"]) == (status, iterations, True)
+    assert rec["err_l2"] <= 1e-12
 
 
 def test_recover_missing_file_fails_cleanly(capsys, tmp_path):
@@ -164,6 +192,20 @@ def test_sweep_config_unknown_key_fails_cleanly(capsys, tmp_path, extra, unknown
     record = json.loads(err)
     assert record["error"] == "ValueError"
     assert unknown in record["message"]
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("content", [{"n": 12, "m_values": [6], "s_rule": [1],
+                                      "trials": 1, "solver": 3},
+                                     [1, 2]])
+def test_sweep_config_not_an_object_fails_cleanly(capsys, tmp_path, content):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(content))
+    code, out, err = run_cli(capsys, ["sweep", "--config", str(cfg_path),
+                                      "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "ValueError"
     assert not (tmp_path / "o").exists()
 
 

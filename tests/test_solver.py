@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
+from qcs import solver
 from qcs.embedding import build_embedding, vec4
 from qcs.errors import NonFiniteInput
 from qcs.qlinalg import QMatrix, QVector, lp_norm, matvec, support
@@ -12,6 +13,8 @@ from qcs.random import (
     PURPOSE_SIGNAL,
     RngStream,
     sample_gaussian_matrix,
+    sample_real_gaussian_matrix,
+    sample_real_sparse_signal,
     sample_sparse_signal,
     sample_sphere_noise,
     trial_stream,
@@ -36,6 +39,18 @@ def sparse_instance(seed, m, n, s, eta=0.0):
     y = matvec(Phi, x)
     if eta > 0:
         y = y + sample_sphere_noise(trial_stream(seed, 3, m, s, 0), m, eta)
+    return Phi, x, y
+
+
+def real_instance(seed, m, n, s, eta=0.0):
+    """Real Phi and x; the noise, when eta > 0, is real with norm eta."""
+    rng = RngStream(seed, 0)
+    Phi = sample_real_gaussian_matrix(rng, m, n, 1.0 / m)
+    x, _ = sample_real_sparse_signal(rng.child(1), n, s)
+    y = matvec(Phi, x)
+    if eta > 0:
+        d = rng.child(2).normals(m, 1.0)
+        y = y + QVector.from_real(d * (eta / np.linalg.norm(d)))
     return Phi, x, y
 
 
@@ -137,7 +152,7 @@ def test_first_iteration_primal_residual_is_data_norm():
     # from a cold start the first primal residual equals ||vec4(y)||_2 exactly
     Phi, x, y = sparse_instance(1, 3, 5, 2)
     A, b = build_embedding(Phi, y)
-    state = init_admm_state(GraphProjector(A), b, 0.0, 1.0)
+    state = init_admm_state(GraphProjector(A), b, 0.0, 1.0, 4)
     admm_step(state)
     r_pri, _, _, _ = residuals(state)
     assert r_pri == float(np.linalg.norm(b))
@@ -146,7 +161,7 @@ def test_first_iteration_primal_residual_is_data_norm():
 def test_dual_scale_halves_when_rho_doubles():
     Phi, x, y = sparse_instance(2, 3, 5, 2)
     A, b = build_embedding(Phi, y)
-    state = init_admm_state(GraphProjector(A), b, 0.0, 1.0)
+    state = init_admm_state(GraphProjector(A), b, 0.0, 1.0, 4)
     for _ in range(5):
         admm_step(state)
     _, _, _, scale_before = residuals(state)
@@ -291,3 +306,61 @@ def test_rho_equivalence_of_solutions():
         sols.append(res.x_hat)
     for other in sols[1:]:
         assert lp_norm(other - sols[0], 2) < 1e-7
+
+
+# ---------------------------------------------------------------------------
+# group size: real problems on the m x n operator
+
+
+def _padded_form(problem):
+    A, b = build_embedding(problem.Phi, problem.y)
+    return A, b, 4
+
+
+@pytest.mark.parametrize("seed, m, n, s, eta, max_iters, status, polished", [
+    (0, 6, 24, 3, 0.0, 150, SolveStatus.MAX_ITERS, False),
+    (1, 6, 24, 3, 0.0, 150, SolveStatus.MAX_ITERS, True),
+    (3, 8, 32, 2, 0.0, 3000, SolveStatus.CONVERGED, True),
+    (0, 12, 40, 3, 0.05, 3000, SolveStatus.CONVERGED, False),
+])
+def test_real_problem_matches_padded_embedding(monkeypatch, seed, m, n, s, eta,
+                                               max_iters, status, polished):
+    # with real Phi and y the padded 4m x 4n run keeps every imaginary slot
+    # at zero, so the m x n run must retrace it step for step
+    Phi, x, y = real_instance(seed, m, n, s, eta)
+    problem = RecoveryProblem(Phi=Phi, y=y, eta=eta)
+    params = SolverParams(max_iters=max_iters)
+
+    def no_embedding(*args):
+        raise AssertionError("a real problem built the quaternion embedding")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "build_embedding", no_embedding)
+        real = solve(problem, params)
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "_real_form", _padded_form)
+        padded = solve(problem, params)
+
+    assert (real.status, real.polished) == (status, polished)
+    assert (padded.status, padded.iterations, padded.polished) == \
+        (real.status, real.iterations, real.polished)
+    assert not real.x_hat.data[:, 1:].any()
+    assert lp_norm(real.x_hat - padded.x_hat, 2) <= 1e-12
+    assert abs(lp_norm(real.x_hat - x, 2) - lp_norm(padded.x_hat - x, 2)) <= 1e-12
+
+
+@pytest.mark.parametrize("seed, m, n, s", [(5, 4, 5, 2), (1, 4, 6, 1)])
+def test_one_imaginary_entry_takes_quaternion_path(monkeypatch, seed, m, n, s):
+    Phi, x, y = real_instance(seed, m, n, s)
+    y.data[1, 2] = 0.25
+    built = []
+    monkeypatch.setattr(solver, "build_embedding",
+                        lambda *args: built.append(1) or build_embedding(*args))
+    res = solve(RecoveryProblem(Phi=Phi, y=y, eta=0.0))
+    assert built == [1]
+    assert res.status is SolveStatus.CONVERGED
+    assert res.x_hat.data[:, 1:].any()
+    # the brute-force oracle is exact when the minimizer has at most m
+    # nonzero coordinates
+    assert len(support(res.x_hat)) <= m
+    assert abs(res.objective - oracles.brute_force_min_l1(Phi, y, m)) < 1e-6
