@@ -78,9 +78,18 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _load(path, cls, flag: str):
+    """The payload in path, which must be a cls (QMatrix or QVector)."""
+    obj = qlinalg.load_json(path)
+    if not isinstance(obj, cls):
+        raise ValueError(f"{flag} needs a {cls.__name__}, "
+                         f"but {path} holds a {type(obj).__name__}")
+    return obj
+
+
 def cmd_recover(args) -> int:
-    Phi = qlinalg.load_json(args.phi)
-    y = qlinalg.load_json(args.y)
+    Phi = _load(args.phi, qlinalg.QMatrix, "--phi")
+    y = _load(args.y, qlinalg.QVector, "--y")
     params = _solver_params_from_args(args)
     problem = RecoveryProblem(Phi, y, args.eta)
     if args.trace is None:
@@ -101,7 +110,7 @@ def cmd_recover(args) -> int:
         "polished": result.polished,
     }
     if args.truth:
-        x_true = qlinalg.load_json(args.truth)
+        x_true = _load(args.truth, qlinalg.QVector, "--truth")
         record["err_l1"] = qlinalg.lp_norm(result.x_hat - x_true, 1)
         record["err_l2"] = qlinalg.lp_norm(result.x_hat - x_true, 2)
     if args.out:
@@ -115,7 +124,7 @@ def cmd_rip(args) -> int:
     if args.s is None:
         raise ValueError("rip requires --s <support size>")
     order = int(args.s)
-    Phi = qlinalg.load_json(args.phi)
+    Phi = _load(args.phi, qlinalg.QMatrix, "--phi")
     report = rip.exact_delta(Phi, order, budget=args.budget)
     payload = {
         "s": report.s,
@@ -148,9 +157,10 @@ def cmd_rip(args) -> int:
 
 
 def cmd_ratio(args) -> int:
-    if args.m is None:
+    ms = _parse_int_list(args.m or "")
+    if not ms:
         raise ValueError("ratio requires --m <measurement count>")
-    m = _parse_int_list(args.m)[0]
+    m = ms[0]
     result = harness.run_ratio_test(m, args.samples,
                                     base_seed=args.seed or 0,
                                     mode=args.mode or "quaternion")

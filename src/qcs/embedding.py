@@ -13,31 +13,15 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import BadLength, DimensionMismatch
-from .qlinalg import QMatrix, QVector
+from .qlinalg import QMatrix, QVector, quat_mul_arrays
 
 
 def left_mult_blocks(Phi: QMatrix) -> np.ndarray:
-    """(m, n, 4, 4) array of per-entry real left-multiplication matrices."""
-    a, b, c, d = (Phi.data[..., e] for e in range(4))
-    m, n = Phi.shape
-    B = np.empty((m, n, 4, 4))
-    B[..., 0, 0] = a
-    B[..., 0, 1] = -b
-    B[..., 0, 2] = -c
-    B[..., 0, 3] = -d
-    B[..., 1, 0] = b
-    B[..., 1, 1] = a
-    B[..., 1, 2] = -d
-    B[..., 1, 3] = c
-    B[..., 2, 0] = c
-    B[..., 2, 1] = d
-    B[..., 2, 2] = a
-    B[..., 2, 3] = -b
-    B[..., 3, 0] = d
-    B[..., 3, 1] = -c
-    B[..., 3, 2] = b
-    B[..., 3, 3] = a
-    return B
+    """(m, n, 4, 4) array of per-entry real left-multiplication matrices.
+
+    Column e of block (i, k) is Phi[i, k] times the e-th basis unit.
+    """
+    return np.stack([quat_mul_arrays(Phi.data, e) for e in np.eye(4)], axis=-1)
 
 
 def build_embedding(Phi: QMatrix, y: QVector) -> tuple[np.ndarray, np.ndarray]:

@@ -17,6 +17,7 @@ record_timings is set, keeping output files byte-identical across runs.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -27,7 +28,8 @@ import numpy as np
 
 from . import random as qrandom
 from .errors import IoFailure, QcsError, SkippedPoint
-from .qlinalg import QVector, best_s_sparse, lp_norm, matvec
+from .qlinalg import (QVector, _pair_product, _split_complex, best_s_sparse, lp_norm,
+                      matvec)
 from .solver import RecoveryProblem, SolverParams, solve
 
 SCHEMA_VERSION = 1
@@ -86,6 +88,13 @@ class ExperimentConfig:
             raise ValueError(f"unknown s_rule {self.s_rule!r}")
         if isinstance(self.s_rule, tuple) and any(s < 1 for s in self.s_rule):
             raise ValueError(f"bad sparsity list {self.s_rule}")
+        if not 0 <= self.base_seed < 2 ** 64:
+            raise ValueError(f"base_seed {self.base_seed} outside [0, 2^64)")
+        # every trial's stream id must fit the layout qcs.random packs
+        qrandom.derive_stream_id(0, max(self.m_values), 0, self.trials - 1)
+        for m, s in self.cells():
+            if s > self.n:
+                raise ValueError(f"cell (m={m}, s={s}) has s > n = {self.n}")
 
     def s_values_for(self, m: int) -> list[int]:
         """Sparsities for one m; the protocol caps s at m/2."""
@@ -217,11 +226,6 @@ def run_single_trial(config: ExperimentConfig, m: int, s: int, trial: int) -> Tr
                        wall_time=time.perf_counter() - t0)
 
 
-def _trial_task(args) -> TrialRecord:
-    config_dict, m, s, trial = args
-    return run_single_trial(ExperimentConfig.from_json_dict(config_dict), m, s, trial)
-
-
 def worker_count() -> int:
     """QCS_WORKERS environment variable, default 1 (serial)."""
     raw = os.environ.get("QCS_WORKERS", "1")
@@ -272,42 +276,35 @@ def run_sweep(config: ExperimentConfig, verbose: bool = False) -> PhaseDiagram:
 
     workers = worker_count()
     pool = None
+    starmap = itertools.starmap
     if workers > 1:
         import multiprocessing
 
         pool = multiprocessing.Pool(workers)
+        starmap = pool.starmap
+    rates: dict[tuple[int, int], float] = {}
     try:
         with open(records_path, "a") as sink:
             for m, s in config.cells():
-                pending = [t for t in range(config.trials)
+                pending = [(config, m, s, t) for t in range(config.trials)
                            if (m, s, t) not in done]
-                if pending:
-                    if pool is not None:
-                        tasks = [(snapshot, m, s, t) for t in pending]
-                        fresh = pool.map(_trial_task, tasks)
-                    else:
-                        fresh = [run_single_trial(config, m, s, t) for t in pending]
-                    for rec in sorted(fresh, key=lambda r: r.trial_index):
-                        sink.write(json.dumps(rec.to_json_dict(config.record_timings),
-                                              sort_keys=True) + "\n")
-                        done[(m, s, rec.trial_index)] = rec
-                    sink.flush()
+                # starmap keeps the order of pending, which is by trial index
+                for rec in starmap(run_single_trial, pending):
+                    sink.write(json.dumps(rec.to_json_dict(config.record_timings),
+                                          sort_keys=True) + "\n")
+                    done[(m, s, rec.trial_index)] = rec
+                sink.flush()
+                perfect = sum(done[(m, s, t)].perfect for t in range(config.trials))
+                rate = rates[(m, s)] = perfect / config.trials
                 if verbose:
-                    cell = [done[(m, s, t)] for t in range(config.trials)]
-                    rate = sum(r.perfect for r in cell) / config.trials
                     print(f"m={m:3d} s={s:3d} rate={rate:.3f} ({config.trials} trials)")
     finally:
         if pool is not None:
             pool.close()
             pool.join()
 
-    rates: dict[tuple[int, int], float] = {}
-    counts: dict[tuple[int, int], int] = {}
-    for m, s in config.cells():
-        cell = [done[(m, s, t)] for t in range(config.trials)]
-        rates[(m, s)] = sum(r.perfect for r in cell) / config.trials
-        counts[(m, s)] = config.trials
-    diagram = PhaseDiagram(rates=rates, counts=counts, config=snapshot)
+    diagram = PhaseDiagram(rates=rates, counts=dict.fromkeys(rates, config.trials),
+                           config=snapshot)
     with open(os.path.join(config.out_dir, "summary.json"), "w") as fh:
         json.dump(diagram.to_summary_dict(), fh, sort_keys=True, indent=1)
     return diagram
@@ -407,34 +404,25 @@ def run_ratio_test(m: int, samples: int, base_seed: int = 0,
     x_rng = qrandom.trial_stream(base_seed, qrandom.PURPOSE_RATIO, m, 0, 0)
     phi_rng = qrandom.trial_stream(base_seed, qrandom.PURPOSE_RATIO, m, 0, 1)
 
-    vals = np.empty(samples)
     if mode == "quaternion":
         xq = qrandom.sample_dense_signal(x_rng, n, 1.0)
-        xdata = xq.data / lp_norm(xq, 2)
-        X1 = xdata[:, 0] + 1j * xdata[:, 1]
-        X2 = xdata[:, 2] + 1j * xdata[:, 3]
-        scale = math.sqrt(1.0 / (4 * m))
-        done = 0
-        while done < samples:
-            C = min(samples - done, 4096)
-            comp = phi_rng.normals((C, m, n, 4), scale)
-            P1 = comp[..., 0] + 1j * comp[..., 1]
-            P2 = comp[..., 2] + 1j * comp[..., 3]
-            Y1 = P1 @ X1 - P2 @ np.conj(X2)
-            Y2 = P1 @ X2 + P2 @ np.conj(X1)
-            vals[done:done + C] = np.sum(np.abs(Y1) ** 2 + np.abs(Y2) ** 2, axis=1)
-            done += C
+        X1, X2 = _split_complex(xq.data / lp_norm(xq, 2))
+
+        def chunk(C: int) -> np.ndarray:
+            comp = phi_rng.normals((C, m, n, 4), math.sqrt(1.0 / (4 * m)))
+            Y1, Y2 = _pair_product(*_split_complex(comp), X1, X2)
+            return np.sum(np.abs(Y1) ** 2 + np.abs(Y2) ** 2, axis=1)
         shape, rate = 2 * m, 2 * m
     else:
         xv = x_rng.normals(n, 1.0)
         xv = xv / np.linalg.norm(xv)
-        done = 0
-        while done < samples:
-            C = min(samples - done, 4096)
+
+        def chunk(C: int) -> np.ndarray:
             P = phi_rng.normals((C, m, n), math.sqrt(1.0 / m))
-            vals[done:done + C] = np.sum((P @ xv) ** 2, axis=1)
-            done += C
+            return np.sum((P @ xv) ** 2, axis=1)
         shape, rate = m / 2.0, m / 2.0
+    vals = np.concatenate([chunk(min(samples - done, 4096))
+                           for done in range(0, samples, 4096)])
 
     ks = stats.kstest(vals, stats.gamma(a=shape, scale=1.0 / rate).cdf).statistic
     return {"m": m, "samples": samples, "mode": mode,

@@ -3,7 +3,9 @@
 Storage is a float64 component array with a trailing axis of size 4
 holding (a, b, c, d). Products are evaluated through the complex-pair
 representation q = z1 + z2*j with z1 = a + b*i, z2 = c + d*i, which turns
-a quaternion matmul into four complex matmuls. Spectral computations go
+a quaternion matmul into four complex matmuls. _pair_product is the one
+place that formula is written; matvec, matmul, the RIP diagnostics and
+the ratio test all call it. Spectral computations go
 through the complex adjoint representation (an algebra homomorphism into
 2m x 2n complex matrices), so Hermitian eigenvalues come from a standard
 complex Hermitian eigensolver.
@@ -60,6 +62,16 @@ def _split_complex(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _join_complex(z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
     return np.stack([z1.real, z1.imag, z2.real, z2.imag], axis=-1)
+
+
+def _pair_product(A1, A2, B1, B2, prod=np.matmul):
+    """(C1, C2) with (A1 + A2*j)(B1 + B2*j) = C1 + C2*j, from j*z = conj(z)*j.
+
+    prod multiplies the complex parts: np.matmul (the default) for matrix
+    products, np.multiply for entrywise ones.
+    """
+    return (prod(A1, B1) - prod(A2, np.conj(B2)),
+            prod(A1, B2) + prod(A2, np.conj(B1)))
 
 
 # ---------------------------------------------------------------------------
@@ -258,10 +270,7 @@ def matvec(A: QMatrix, x: QVector) -> QVector:
     m, n = A.shape
     if n != len(x):
         raise DimensionMismatch(f"matvec shapes: {A.shape} @ {len(x)}")
-    A1, A2 = _split_complex(A.data)
-    x1, x2 = _split_complex(x.data)
-    y1 = A1 @ x1 - A2 @ np.conj(x2)
-    y2 = A1 @ x2 + A2 @ np.conj(x1)
+    y1, y2 = _pair_product(*_split_complex(A.data), *_split_complex(x.data))
     return QVector(_join_complex(y1, y2))
 
 
@@ -270,18 +279,13 @@ def matmul(A: QMatrix, B: QMatrix) -> QMatrix:
     mb, nb = B.shape
     if na != mb:
         raise DimensionMismatch(f"matmul shapes: {A.shape} @ {B.shape}")
-    A1, A2 = _split_complex(A.data)
-    B1, B2 = _split_complex(B.data)
-    C1 = A1 @ B1 - A2 @ np.conj(B2)
-    C2 = A1 @ B2 + A2 @ np.conj(B1)
+    C1, C2 = _pair_product(*_split_complex(A.data), *_split_complex(B.data))
     return QMatrix(_join_complex(C1, C2))
 
 
 def adjoint(A: QMatrix) -> QMatrix:
     """Conjugate transpose A*."""
-    out = np.transpose(A.data, (1, 0, 2)).copy()
-    out[..., 1:] = -out[..., 1:]
-    return QMatrix(out)
+    return QMatrix(quat_conj_arrays(np.transpose(A.data, (1, 0, 2))))
 
 
 def submatrix(A: QMatrix, S: SupportSet) -> QMatrix:
@@ -399,10 +403,17 @@ def qvector_to_json(x: QVector) -> dict:
     }
 
 
+def _payload_fields(obj, kind: str, *keys: str) -> list:
+    if not isinstance(obj, dict) or any(k not in obj for k in keys):
+        raise ValueError(f"a {kind} payload is a JSON object with keys {', '.join(keys)}")
+    return [obj[k] for k in keys]
+
+
 def qvector_from_json(obj: dict) -> QVector:
-    data = np.asarray(obj["data"], dtype=np.float64)
-    if data.shape != (int(obj["length"]), 4):
-        raise BadLength(f"payload shape {data.shape} != ({obj['length']}, 4)")
+    length, data = _payload_fields(obj, "qvector", "length", "data")
+    data = np.asarray(data, dtype=np.float64)
+    if data.shape != (int(length), 4):
+        raise BadLength(f"payload shape {data.shape} != ({length}, 4)")
     return QVector(data)
 
 
@@ -417,8 +428,11 @@ def qmatrix_to_json(A: QMatrix) -> dict:
 
 
 def qmatrix_from_json(obj: dict) -> QMatrix:
-    m, n = (int(v) for v in obj["shape"])
-    data = np.asarray(obj["data"], dtype=np.float64)
+    shape, data = _payload_fields(obj, "qmatrix", "shape", "data")
+    if np.shape(shape) != (2,):
+        raise BadLength(f"shape {shape!r} is not [m, n]")
+    m, n = (int(v) for v in shape)
+    data = np.asarray(data, dtype=np.float64)
     if data.shape != (m * n, 4):
         raise BadLength(f"payload shape {data.shape} != ({m * n}, 4)")
     return QMatrix(data.reshape(m, n, 4))
@@ -437,12 +451,14 @@ def save_json(obj, path) -> None:
 def load_json(path):
     with open(path) as fh:
         obj = json.load(fh)
-    kind = obj.get("kind")
-    if kind == "qvector":
-        return qvector_from_json(obj)
-    if kind == "qmatrix":
-        return qmatrix_from_json(obj)
-    raise ValueError(f"unknown payload kind {kind!r} in {path}")
+    kind = obj.get("kind") if isinstance(obj, dict) else None
+    if kind not in ("qvector", "qmatrix"):
+        raise ValueError(f"unknown payload kind {kind!r} in {path}")
+    try:
+        return qvector_from_json(obj) if kind == "qvector" else qmatrix_from_json(obj)
+    except TypeError as exc:
+        # a field of the wrong JSON type, such as "shape": [null, 2]
+        raise ValueError(f"malformed {kind} payload in {path}: {exc}") from exc
 
 
 def qmatrix_to_csv(A: QMatrix, path) -> None:

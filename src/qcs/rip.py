@@ -23,8 +23,8 @@ from itertools import combinations
 import numpy as np
 
 from .errors import BudgetExceeded, ConditionViolated, DegenerateDelta
-from .qlinalg import (QMatrix, SupportSet, _split_complex, adjoint, complex_adjoint,
-                      matmul)
+from .qlinalg import (QMatrix, SupportSet, _pair_product, _split_complex, adjoint,
+                      complex_adjoint, matmul)
 from .random import PURPOSE_RIP, RngStream, derive_stream_id
 
 DELTA_FLOOR = 1e-14
@@ -112,8 +112,9 @@ def _batched_sparse_image(P1, P2, idx, z1, z2):
     Y2 = np.zeros((m, T), dtype=np.complex128)
     for j in range(s):
         cols = idx[:, j]
-        Y1 += P1[:, cols] * z1[:, j] - P2[:, cols] * np.conj(z2[:, j])
-        Y2 += P1[:, cols] * z2[:, j] + P2[:, cols] * np.conj(z1[:, j])
+        C1, C2 = _pair_product(P1[:, cols], P2[:, cols], z1[:, j], z2[:, j], np.multiply)
+        Y1 += C1
+        Y2 += C2
     return Y1, Y2
 
 
@@ -189,10 +190,9 @@ def check_rip_ip(Phi: QMatrix, s1: int, s2: int, trials: int,
         keep = (nx > 0) & (ny > 0)
         X1, X2 = _batched_sparse_image(P1, P2, idx_x, *_split_complex(cx))
         Y1, Y2 = _batched_sparse_image(P1, P2, idx_y, *_split_complex(cy))
-        # <Phi x, Phi y> = sum_i conj(q_i) p_i over complex pairs
-        part_a = np.sum(np.conj(Y1) * X1 + Y2 * np.conj(X2), axis=0)
-        part_b = np.sum(np.conj(Y1) * X2 - Y2 * np.conj(X1), axis=0)
-        ip = np.sqrt(np.abs(part_a) ** 2 + np.abs(part_b) ** 2)
+        # <Phi x, Phi y> = sum_i conj(q_i) p_i, and conj(z1 + z2*j) = conj(z1) - z2*j
+        I1, I2 = _pair_product(np.conj(Y1), -Y2, X1, X2, np.multiply)
+        ip = np.sqrt(np.abs(I1.sum(axis=0)) ** 2 + np.abs(I2.sum(axis=0)) ** 2)
         denom = delta * nx * ny
         ratios = np.where(keep, ip / np.where(keep, denom, 1.0), 0.0)
         best = max(best, float(ratios.max()))

@@ -116,6 +116,34 @@ def test_recover_rejects_non_finite_input(capsys, instance_files, tmp_path,
     assert json.loads(err)["error"] == "NonFiniteInput"
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(["recover", "--phi", "LIST", "--y", "Y"], id="phi-json-list"),
+    pytest.param(["recover", "--phi", "NO_SHAPE", "--y", "Y"], id="phi-without-shape"),
+    pytest.param(["recover", "--phi", "NULL_SHAPE", "--y", "Y"], id="phi-null-shape"),
+    pytest.param(["recover", "--phi", "Y", "--y", "Y"], id="phi-is-qvector"),
+    pytest.param(["recover", "--phi", "PHI", "--y", "PHI"], id="y-is-qmatrix"),
+    pytest.param(["recover", "--phi", "PHI", "--y", "Y", "--truth", "PHI"],
+                 id="truth-is-qmatrix"),
+    pytest.param(["rip", "--phi", "Y", "--s", "2"], id="rip-phi-is-qvector"),
+    pytest.param(["ratio", "--m", ","], id="ratio-no-m"),
+])
+def test_malformed_input_fails_cleanly(capsys, instance_files, tmp_path, argv):
+    _, phi, y, _ = instance_files
+    with open(phi) as fh:
+        phi_obj = json.load(fh)
+    files = {"PHI": phi, "Y": y}
+    for name, payload in (("LIST", [1, 2]),
+                          ("NO_SHAPE", {k: v for k, v in phi_obj.items() if k != "shape"}),
+                          ("NULL_SHAPE", {**phi_obj, "shape": [None, 8]})):
+        files[name] = str(tmp_path / f"{name}.json")
+        with open(files[name], "w") as fh:
+            json.dump(payload, fh)
+    code, out, err = run_cli(capsys, [files.get(a, a) for a in argv])
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] in ("ValueError", "BadLength")
+
+
 def test_rip_command(capsys, instance_files):
     Phi, phi, _, _ = instance_files
     code, out, _ = run_cli(capsys, ["rip", "--phi", phi, "--s", "2",
@@ -203,6 +231,18 @@ def test_sweep_config_not_an_object_fails_cleanly(capsys, tmp_path, content):
     cfg_path.write_text(json.dumps(content))
     code, out, err = run_cli(capsys, ["sweep", "--config", str(cfg_path),
                                       "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "ValueError"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("flags", [["--seed", "-1"], ["--seed", str(2 ** 64)],
+                                   ["--m", "65536"], ["--n", "8", "--m", "32", "--s", "9"]])
+def test_sweep_outside_sampler_range_fails_cleanly(capsys, tmp_path, flags):
+    code, out, err = run_cli(capsys, ["sweep", "--n", "12", "--m", "6", "--s", "1",
+                                      "--trials", "1", "--out", str(tmp_path / "o"),
+                                      *flags])
     assert code == 1
     assert out == ""
     assert json.loads(err)["error"] == "ValueError"

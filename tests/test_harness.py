@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from qcs import random as qrandom
 from qcs.errors import IoFailure
 from qcs.harness import (
     ExperimentConfig,
@@ -21,6 +22,7 @@ from qcs.harness import (
     sweep_solver_params,
     worker_count,
 )
+from qcs.qlinalg import QMatrix, QVector, lp_norm, matvec
 from qcs.solver import SolverParams
 
 
@@ -44,6 +46,22 @@ def test_config_validation(tmp_path):
                    dict(s_rule="2..m"), dict(s_rule=(0, 1))):
         with pytest.raises(ValueError):
             small_config(tmp_path, **kwargs)
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(base_seed=-1), dict(base_seed=2 ** 64), dict(trials=2 ** 24 + 1),
+    dict(m_values=(8, 2 ** 16)), dict(n=8, m_values=(32,), s_rule=(9,)),
+    dict(n=3, m_values=(8,), s_rule="1..m/2"),
+])
+def test_config_rejects_values_the_samplers_cannot_take(tmp_path, kwargs):
+    with pytest.raises(ValueError):
+        small_config(tmp_path, **kwargs)
+
+
+def test_config_accepts_the_sampler_limits(tmp_path):
+    small_config(tmp_path, base_seed=2 ** 64 - 1, trials=2 ** 24,
+                 m_values=(2 ** 16 - 1,))
+    small_config(tmp_path, n=4, m_values=(8,), s_rule="1..m/2")
 
 
 def test_config_s_rule():
@@ -246,6 +264,32 @@ def test_ratio_test_deterministic():
     a = run_ratio_test(8, 1000)
     b = run_ratio_test(8, 1000)
     assert a == b
+
+
+@pytest.mark.parametrize("mode", ["quaternion", "real"])
+def test_ratio_test_replays_through_matvec(mode):
+    """Same streams and chunking as run_ratio_test, one matvec per sample;
+    4100 samples span two 4096-sample chunks."""
+    m, n, samples, seed = 3, 8, 4100, 2
+    out = run_ratio_test(m, samples, base_seed=seed, mode=mode)
+    x_rng = qrandom.trial_stream(seed, qrandom.PURPOSE_RATIO, m, 0, 0)
+    phi_rng = qrandom.trial_stream(seed, qrandom.PURPOSE_RATIO, m, 0, 1)
+    if mode == "quaternion":
+        x = qrandom.sample_dense_signal(x_rng, n, 1.0)
+        x = x.scale(1.0 / lp_norm(x, 2))
+    else:
+        xv = x_rng.normals(n, 1.0)
+        x = QVector.from_real(xv / np.linalg.norm(xv))
+    vals = []
+    for done in range(0, samples, 4096):
+        C = min(samples - done, 4096)
+        if mode == "quaternion":
+            mats = [QMatrix(P) for P in phi_rng.normals((C, m, n, 4), math.sqrt(1 / (4 * m)))]
+        else:
+            mats = [QMatrix.from_real(P) for P in phi_rng.normals((C, m, n), math.sqrt(1 / m))]
+        vals += [lp_norm(matvec(Phi, x), 2) ** 2 for Phi in mats]
+    assert abs(out["mean"] - np.mean(vals)) <= 1e-12
+    assert abs(out["variance"] - np.var(vals, ddof=1)) <= 1e-12
 
 
 def test_ratio_test_validation():

@@ -7,9 +7,13 @@ import oracles
 from qcs.errors import BudgetExceeded, ConditionViolated, DegenerateDelta
 from qcs.qlinalg import (
     QMatrix,
+    QVector,
     adjoint,
     complex_adjoint,
+    hermitian_inner,
+    lp_norm,
     matmul,
+    matvec,
     submatrix,
 )
 from qcs.random import (
@@ -167,6 +171,49 @@ def test_rip_ip_argument_checks():
         check_rip_ip(Phi, 5, 4, 10)
     with pytest.raises(ValueError):
         check_rip_ip(Phi, 1, 1, 0)
+
+
+# ---------------------------------------------------------------------------
+# the sampled diagnostics replayed draw by draw through matvec and
+# hermitian_inner: same RngStream, same draw order, one vector at a time
+
+
+def _sparse(n, idx, comp):
+    data = np.zeros((n, 4))
+    data[idx] = comp
+    return QVector(data)
+
+
+@pytest.mark.parametrize("s", [1, 3])
+def test_sampled_bound_replays_through_matvec(s):
+    n, trials = 20, 300
+    Phi = sample_gaussian_matrix(RngStream(3, 0), 6, n, 1.0 / 6)
+    report = sampled_delta_lower_bound(Phi, s, trials, RngStream(5, s))
+    rng = RngStream(5, s)
+    idx = np.argsort(rng.normals((trials, n)), axis=1)[:, :s]
+    comp = rng.normals((trials, s, 4), 0.5)
+    vals = [abs(lp_norm(matvec(Phi, _sparse(n, i, c / np.linalg.norm(c))), 2) ** 2 - 1.0)
+            for i, c in zip(idx, comp)]
+    k = int(np.argmax(vals))
+    assert abs(report.delta - vals[k]) <= 1e-12
+    assert report.argmax_support.indices == tuple(sorted(int(i) for i in idx[k]))
+
+
+@pytest.mark.parametrize("s1, s2", [(1, 2), (2, 2)])
+def test_rip_ip_replays_through_hermitian_inner(s1, s2):
+    n, trials = 9, 300
+    Phi = sample_gaussian_matrix(RngStream(4, 0), 5, n, 1.0 / 5)
+    got = check_rip_ip(Phi, s1, s2, trials, RngStream(6, s1))
+    delta = exact_delta(Phi, s1 + s2).delta
+    rng = RngStream(6, s1)
+    perm = np.argsort(rng.normals((trials, n)), axis=1)
+    cx = rng.normals((trials, s1, 4), 0.5)
+    cy = rng.normals((trials, s2, 4), 0.5)
+    want = max(abs(hermitian_inner(matvec(Phi, _sparse(n, p[:s1], a)),
+                                   matvec(Phi, _sparse(n, p[s1:s1 + s2], b))))
+               / (delta * np.linalg.norm(a) * np.linalg.norm(b))
+               for p, a, b in zip(perm, cx, cy))
+    assert abs(got - want) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
