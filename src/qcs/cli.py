@@ -1,9 +1,12 @@
 """Command-line entry point.
 
-Subcommands: sweep, recover, rip, ratio, c0, plot. Every subcommand
-accepts --config (a JSON file of ExperimentConfig fields) plus flag
-overrides. Exit codes: 0 success, 1 runtime failure (with a one-line
-JSON error record on stderr), 2 usage errors (argparse).
+Subcommands: sweep, recover, rip, ratio, c0, plot. Each takes only the
+flags it reads. sweep and c0 build an ExperimentConfig from --config (a
+JSON file of its fields) plus the overrides --n, --m, --s, --trials,
+--seed and --out; sweep also takes --eta and --mode. Exit codes: 0
+success, 1 runtime failure (with a one-line JSON error record on
+stderr), 2 usage errors (argparse, including a flag the subcommand does
+not take).
 """
 
 from __future__ import annotations
@@ -24,28 +27,30 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 
 
 def build_config(args) -> harness.ExperimentConfig:
+    """The config of sweep or c0: the --config file, then the flags."""
     base: dict = {}
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config) as fh:
             base = json.load(fh)
         if not isinstance(base, dict):
             raise ValueError(f"{args.config} must hold a JSON object")
-    if getattr(args, "n", None) is not None:
+    if args.n is not None:
         base["n"] = args.n
-    if getattr(args, "m", None) is not None:
+    if args.m is not None:
         base["m_values"] = list(_parse_int_list(args.m))
-    if getattr(args, "s", None) is not None:
+    if args.s is not None:
         base["s_rule"] = args.s if args.s == "1..m/2" else list(_parse_int_list(args.s))
-    if getattr(args, "trials", None) is not None:
+    if args.trials is not None:
         base["trials"] = args.trials
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         base["base_seed"] = args.seed
+    if args.out is not None:
+        base["out_dir"] = args.out
+    # sweep only
     if getattr(args, "eta", None) is not None:
         base["eta"] = args.eta
     if getattr(args, "mode", None) is not None:
         base["scalar_mode"] = args.mode
-    if getattr(args, "out", None) is not None:
-        base["out_dir"] = args.out
     if getattr(args, "full", False):
         base.setdefault("m_values", list(range(2, 65, 2)))
         base["trials"] = base.get("trials", 1000)
@@ -123,9 +128,8 @@ def cmd_recover(args) -> int:
 def cmd_rip(args) -> int:
     if args.s is None:
         raise ValueError("rip requires --s <support size>")
-    order = int(args.s)
     Phi = _load(args.phi, qlinalg.QMatrix, "--phi")
-    report = rip.exact_delta(Phi, order, budget=args.budget)
+    report = rip.exact_delta(Phi, args.s, budget=args.budget)
     payload = {
         "s": report.s,
         "delta": report.delta,
@@ -135,7 +139,7 @@ def cmd_rip(args) -> int:
         "elapsed": report.elapsed,
     }
     if args.sampled:
-        lb = rip.sampled_delta_lower_bound(Phi, order, args.sampled)
+        lb = rip.sampled_delta_lower_bound(Phi, args.s, args.sampled)
         payload["sampled_lower_bound"] = lb.delta
         payload["sampled_trials"] = lb.supports_examined
     print(json.dumps(payload, sort_keys=True))
@@ -158,12 +162,10 @@ def cmd_rip(args) -> int:
 
 def cmd_ratio(args) -> int:
     ms = _parse_int_list(args.m or "")
-    if not ms:
-        raise ValueError("ratio requires --m <measurement count>")
-    m = ms[0]
-    result = harness.run_ratio_test(m, args.samples,
-                                    base_seed=args.seed or 0,
-                                    mode=args.mode or "quaternion")
+    if len(ms) != 1:
+        raise ValueError(f"ratio requires one measurement count, --m <m>; got {ms}")
+    result = harness.run_ratio_test(ms[0], args.samples, base_seed=args.seed,
+                                    mode=args.mode)
     text = json.dumps(result, sort_keys=True)
     print(text)
     if args.out:
@@ -174,10 +176,7 @@ def cmd_ratio(args) -> int:
 
 def cmd_c0(args) -> int:
     config = build_config(args)
-    s_values = None
-    if args.s is not None and args.s != "1..m/2":
-        s_values = list(_parse_int_list(args.s))
-    data = harness.run_c0_experiment(config, s_values=s_values, verbose=True)
+    data = harness.run_c0_experiment(config, verbose=True)
     if args.plot:
         harness.emit_plot(data, os.path.join(config.out_dir, "c0_scatter.svg"))
     print(json.dumps({"out_dir": config.out_dir, "points": len(data.points),
@@ -210,34 +209,41 @@ def cmd_plot(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON file with experiment settings")
-    common.add_argument("--n", type=int, help="signal length")
-    common.add_argument("--m", type=str, help="comma-separated measurement counts")
-    common.add_argument("--s", type=str,
-                        help='sparsity rule: "1..m/2" or comma-separated values')
-    common.add_argument("--trials", type=int)
-    common.add_argument("--seed", type=int)
-    common.add_argument("--eta", type=float, default=None)
-    common.add_argument("--mode", choices=["quaternion", "real"])
-    common.add_argument("--out", type=str)
+    # the flags build_config reads, shared by sweep and c0
+    experiment = argparse.ArgumentParser(add_help=False)
+    experiment.add_argument("--config", help="JSON file with experiment settings")
+    experiment.add_argument("--n", type=int, help="signal length")
+    experiment.add_argument("--m", type=str, help="comma-separated measurement counts")
+    experiment.add_argument("--s", type=str,
+                            help='sparsity rule: "1..m/2" or comma-separated values')
+    experiment.add_argument("--trials", type=int)
+    experiment.add_argument("--seed", type=int)
+    experiment.add_argument("--out", type=str, help="output directory")
 
     parser = argparse.ArgumentParser(
         prog="qcs",
         description="Sparse quaternion signal recovery by l1 minimization")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("sweep", parents=[common],
-                       help="phase-transition sweep over (m, s) cells")
+    def add(name: str, func, **kw) -> argparse.ArgumentParser:
+        # no prefix matching, so a flag a subcommand does not take is refused
+        # rather than read as another (recover --m as --max-iters)
+        p = sub.add_parser(name, allow_abbrev=False, **kw)
+        p.set_defaults(func=func)
+        return p
+
+    p = add("sweep", cmd_sweep, parents=[experiment],
+            help="phase-transition sweep over (m, s) cells")
+    p.add_argument("--eta", type=float, help="noise bound")
+    p.add_argument("--mode", choices=["quaternion", "real"])
     p.add_argument("--plot", action="store_true", help="emit heatmap.svg")
     p.add_argument("--full", action="store_true",
                    help="full-grid profile: m = 2..64, 1000 trials (long-running)")
-    p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("recover", parents=[common],
-                       help="solve one recovery problem from files")
+    p = add("recover", cmd_recover, help="solve one recovery problem from files")
     p.add_argument("--phi", required=True, help="measurement matrix JSON")
     p.add_argument("--y", required=True, help="measurement vector JSON")
+    p.add_argument("--eta", type=float, default=0.0, help="noise bound")
     p.add_argument("--truth", help="ground-truth signal JSON for error reporting")
     p.add_argument("--rho", type=float, default=None)
     p.add_argument("--max-iters", type=int, default=None)
@@ -245,32 +251,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol-dual", type=float, default=None)
     p.add_argument("--no-polish", action="store_true")
     p.add_argument("--trace", help="stream per-iteration diagnostics to this CSV")
-    p.set_defaults(func=cmd_recover, eta=0.0)
+    p.add_argument("--out", help="write the recovered signal to this JSON file")
 
-    p = sub.add_parser("rip", parents=[common],
-                       help="restricted isometry constant of a matrix file")
+    p = add("rip", cmd_rip, help="restricted isometry constant of a matrix file")
     p.add_argument("--phi", required=True)
+    p.add_argument("--s", type=int, help="support size")
     p.add_argument("--budget", type=int, default=rip.DEFAULT_BUDGET)
     p.add_argument("--sampled", type=int, default=0,
                    help="also report a sampled lower bound from this many trials")
     p.add_argument("--certificate", action="store_true",
                    help="print the recovery-guarantee constants when delta permits")
-    p.set_defaults(func=cmd_rip)
 
-    p = sub.add_parser("ratio", parents=[common],
-                       help="measurement-ratio distribution test")
+    p = add("ratio", cmd_ratio, help="measurement-ratio distribution test")
+    p.add_argument("--m", type=str, help="measurement count")
     p.add_argument("--samples", type=int, default=20000)
-    p.set_defaults(func=cmd_ratio)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--mode", choices=["quaternion", "real"], default="quaternion")
+    p.add_argument("--out", help="also write the result to this JSON file")
 
-    p = sub.add_parser("c0", parents=[common],
-                       help="dense-signal lower-bound scatter experiment")
+    p = add("c0", cmd_c0, parents=[experiment],
+            help="dense-signal lower-bound scatter experiment")
     p.add_argument("--plot", action="store_true", help="emit c0_scatter.svg")
-    p.set_defaults(func=cmd_c0)
 
-    p = sub.add_parser("plot", parents=[common],
-                       help="render a summary or scatter file as SVG")
+    p = add("plot", cmd_plot, help="render a summary or scatter file as SVG")
     p.add_argument("--input", required=True)
-    p.set_defaults(func=cmd_plot)
+    p.add_argument("--out", required=True, help="SVG file to write")
     return parser
 
 

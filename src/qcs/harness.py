@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 import os
 import time
 from dataclasses import asdict, dataclass, field, fields
@@ -43,6 +44,35 @@ def sweep_solver_params() -> SolverParams:
     but capped at an iteration count that keeps failing cells cheap.
     """
     return SolverParams(max_iters=3000, tol_primal=1e-9, tol_dual=1e-9)
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _is_int_list(v) -> bool:
+    return isinstance(v, (list, tuple)) and all(map(_is_int, v))
+
+
+# a check per field type, as the dataclasses spell it; numpy numbers pass,
+# bools pass only as bool
+_TYPE_CHECKS = {
+    "int": _is_int,
+    "float": lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool),
+    "bool": lambda v: isinstance(v, bool),
+    "str": lambda v: isinstance(v, str),
+    "tuple[int, ...]": _is_int_list,
+    "str | tuple[int, ...]": lambda v: isinstance(v, str) or _is_int_list(v),
+    "SolverParams": lambda v: isinstance(v, SolverParams),
+}
+
+
+def _check_types(values: dict, cls, where: str) -> None:
+    """Each value in values must have the type of the cls field it names."""
+    for f in fields(cls):
+        if f.name in values and not _TYPE_CHECKS[f.type](values[f.name]):
+            raise ValueError(f"{where} key {f.name} must be {f.type}, "
+                             f"got {values[f.name]!r}")
 
 
 def _check_object(d, cls, where: str) -> None:
@@ -69,6 +99,11 @@ class ExperimentConfig:
     record_timings: bool = False
 
     def __post_init__(self):
+        _check_types({f.name: getattr(self, f.name) for f in fields(self)},
+                     ExperimentConfig, "config")
+        # plain ints, so that numpy integers serialize
+        for name in ("n", "trials", "base_seed"):
+            object.__setattr__(self, name, int(getattr(self, name)))
         object.__setattr__(self, "m_values", tuple(int(m) for m in self.m_values))
         if isinstance(self.s_rule, (list, tuple)):
             object.__setattr__(self, "s_rule", tuple(int(s) for s in self.s_rule))
@@ -80,10 +115,11 @@ class ExperimentConfig:
             raise ValueError(f"bad m_values {self.m_values}")
         if self.scalar_mode not in ("quaternion", "real"):
             raise ValueError(f"scalar_mode must be quaternion|real, got {self.scalar_mode!r}")
-        if self.eta < 0:
-            raise ValueError("eta must be >= 0")
-        if self.perfect_threshold <= 0:
-            raise ValueError("perfect_threshold must be positive")
+        if not (math.isfinite(self.eta) and self.eta >= 0):
+            raise ValueError(f"eta must be finite and >= 0, got {self.eta}")
+        if not (math.isfinite(self.perfect_threshold) and self.perfect_threshold > 0):
+            raise ValueError(f"perfect_threshold must be finite and positive, "
+                             f"got {self.perfect_threshold}")
         if isinstance(self.s_rule, str) and self.s_rule != "1..m/2":
             raise ValueError(f"unknown s_rule {self.s_rule!r}")
         if isinstance(self.s_rule, tuple) and any(s < 1 for s in self.s_rule):
@@ -120,11 +156,8 @@ class ExperimentConfig:
         d = dict(d)
         if "solver" in d:
             _check_object(d["solver"], SolverParams, "solver")
+            _check_types(d["solver"], SolverParams, "solver")
             d["solver"] = SolverParams(**d["solver"])
-        if isinstance(d.get("s_rule"), list):
-            d["s_rule"] = tuple(d["s_rule"])
-        if "m_values" in d:
-            d["m_values"] = tuple(d["m_values"])
         return cls(**d)
 
 
@@ -227,12 +260,15 @@ def run_single_trial(config: ExperimentConfig, m: int, s: int, trial: int) -> Tr
 
 
 def worker_count() -> int:
-    """QCS_WORKERS environment variable, default 1 (serial)."""
+    """QCS_WORKERS environment variable, a positive integer; default 1 (serial)."""
     raw = os.environ.get("QCS_WORKERS", "1")
     try:
-        return max(1, int(raw))
+        workers = int(raw)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"QCS_WORKERS must be a positive integer, got {raw!r}")
+    return workers
 
 
 def run_sweep(config: ExperimentConfig, verbose: bool = False) -> PhaseDiagram:
@@ -242,6 +278,7 @@ def run_sweep(config: ExperimentConfig, verbose: bool = False) -> PhaseDiagram:
     interrupted sweep resumed with the same config lands on the same
     PhaseDiagram, and the same file bytes, as an uninterrupted one.
     """
+    workers = worker_count()
     os.makedirs(config.out_dir, exist_ok=True)
     config_path = os.path.join(config.out_dir, "config.json")
     snapshot = config.to_json_dict()
@@ -274,7 +311,6 @@ def run_sweep(config: ExperimentConfig, verbose: bool = False) -> PhaseDiagram:
                 rec = TrialRecord.from_json_dict(json.loads(line))
                 done[(rec.m, rec.s, rec.trial_index)] = rec
 
-    workers = worker_count()
     pool = None
     starmap = itertools.starmap
     if workers > 1:
@@ -339,11 +375,22 @@ def run_c0_experiment(config: ExperimentConfig,
                       s_values: list[int] | None = None,
                       verbose: bool = False) -> ScatterData:
     """Dense Gaussian vectors (sigma2 = 1, no sparsity) measured by one
-    fixed matrix; each solve yields a lower bound on the l1 error
-    constant per s via ||x# - x||_1 / ||x - x_s||_1."""
-    m = sorted(config.m_values)[0]
+    fixed m x n matrix; each solve yields a lower bound on the l1 error
+    constant per s via ||x# - x||_1 / ||x - x_s||_1, for s in s_values,
+    else a config.s_rule list, else 1..min(2m, n)."""
+    # noiseless quaternion solves with no verdicts or timings: a config that
+    # moves these settings asks for what c0 does not do
+    for f in fields(config):
+        unread = f.name in ("scalar_mode", "eta", "perfect_threshold", "record_timings")
+        if unread and getattr(config, f.name) != f.default:
+            raise ValueError(f"c0 does not read {f.name}, so it must stay {f.default!r}; "
+                             f"got {getattr(config, f.name)!r}")
+    if len(set(config.m_values)) != 1:
+        raise ValueError(f"c0 uses one m, got m_values {list(config.m_values)}")
+    m = config.m_values[0]
     if s_values is None:
-        s_values = list(range(1, min(2 * m, config.n) + 1))
+        s_values = (list(config.s_rule) if isinstance(config.s_rule, tuple)
+                    else list(range(1, min(2 * m, config.n) + 1)))
     if any(not 1 <= s <= config.n for s in s_values):
         raise ValueError(f"s values must lie in [1, {config.n}]")
     mat_rng = qrandom.trial_stream(config.base_seed, qrandom.PURPOSE_MATRIX, m, 0, 0)
@@ -382,14 +429,17 @@ def run_c0_experiment(config: ExperimentConfig,
 # ---------------------------------------------------------------------------
 # Measurement-ratio statistic.
 
+# signal length of the ratio test; the law does not depend on it
+_RATIO_N = 8
+
+
 def run_ratio_test(m: int, samples: int, base_seed: int = 0,
-                   mode: str = "quaternion", n: int = 8) -> dict:
-    """Empirical law of ||Phi x||^2 / ||x||^2 for a fixed unit x and fresh
-    Gaussian matrices, against its Gamma reference.
+                   mode: str = "quaternion") -> dict:
+    """Empirical law of ||Phi x||^2 / ||x||^2 for a fixed unit x in H^8 (or
+    R^8) and fresh m x 8 Gaussian matrices, against its Gamma reference.
 
     Quaternion mode: Gamma(2m, rate 2m). Real mode: Gamma(m/2, rate m/2),
-    whose variance 2/m is four times larger. The law does not depend on
-    n, so a small default keeps this cheap.
+    whose variance 2/m is four times larger.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -405,20 +455,20 @@ def run_ratio_test(m: int, samples: int, base_seed: int = 0,
     phi_rng = qrandom.trial_stream(base_seed, qrandom.PURPOSE_RATIO, m, 0, 1)
 
     if mode == "quaternion":
-        xq = qrandom.sample_dense_signal(x_rng, n, 1.0)
+        xq = qrandom.sample_dense_signal(x_rng, _RATIO_N, 1.0)
         X1, X2 = _split_complex(xq.data / lp_norm(xq, 2))
 
         def chunk(C: int) -> np.ndarray:
-            comp = phi_rng.normals((C, m, n, 4), math.sqrt(1.0 / (4 * m)))
+            comp = phi_rng.normals((C, m, _RATIO_N, 4), math.sqrt(1.0 / (4 * m)))
             Y1, Y2 = _pair_product(*_split_complex(comp), X1, X2)
             return np.sum(np.abs(Y1) ** 2 + np.abs(Y2) ** 2, axis=1)
         shape, rate = 2 * m, 2 * m
     else:
-        xv = x_rng.normals(n, 1.0)
+        xv = x_rng.normals(_RATIO_N, 1.0)
         xv = xv / np.linalg.norm(xv)
 
         def chunk(C: int) -> np.ndarray:
-            P = phi_rng.normals((C, m, n), math.sqrt(1.0 / m))
+            P = phi_rng.normals((C, m, _RATIO_N), math.sqrt(1.0 / m))
             return np.sum((P @ xv) ** 2, axis=1)
         shape, rate = m / 2.0, m / 2.0
     vals = np.concatenate([chunk(min(samples - done, 4096))

@@ -1,6 +1,8 @@
 import csv
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 
@@ -126,6 +128,7 @@ def test_recover_rejects_non_finite_input(capsys, instance_files, tmp_path,
                  id="truth-is-qmatrix"),
     pytest.param(["rip", "--phi", "Y", "--s", "2"], id="rip-phi-is-qvector"),
     pytest.param(["ratio", "--m", ","], id="ratio-no-m"),
+    pytest.param(["ratio", "--m", "8,16", "--samples", "1000"], id="ratio-two-m"),
 ])
 def test_malformed_input_fails_cleanly(capsys, instance_files, tmp_path, argv):
     _, phi, y, _ = instance_files
@@ -223,6 +226,25 @@ def test_sweep_config_unknown_key_fails_cleanly(capsys, tmp_path, extra, unknown
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("extra", [
+    {"n": "64"}, {"solver": {"max_iters": "5"}}, {"trials": 2.5}, {"n": 16.0},
+    {"m_values": [8.7]}, {"s_rule": [1.9]}, {"trials": True}, {"eta": False},
+    {"solver": {"polish": 0}}, {"record_timings": "yes"}, {"m_values": 6},
+])
+def test_sweep_config_wrong_type_fails_cleanly(capsys, tmp_path, extra):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"n": 12, "m_values": [6], "s_rule": [1],
+                                    "trials": 1, **extra}))
+    code, out, err = run_cli(capsys, ["sweep", "--config", str(cfg_path),
+                                      "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert out == ""
+    record = json.loads(err)
+    assert record["error"] == "ValueError"
+    assert next(iter(extra)) in record["message"]
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("content", [{"n": 12, "m_values": [6], "s_rule": [1],
                                       "trials": 1, "solver": 3},
                                      [1, 2]])
@@ -278,6 +300,39 @@ def test_c0_command(capsys, tmp_path):
     assert (tmp_path / "c0" / "c0_scatter.svg").exists()
 
 
+def test_c0_reads_s_rule_from_config(capsys, tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"n": 8, "m_values": [6], "trials": 2,
+                                    "s_rule": [2, 1]}))
+    code, out, _ = run_cli(capsys, ["c0", "--config", str(cfg_path),
+                                    "--out", str(tmp_path / "c0")])
+    assert code == 0
+    assert json.loads(out.strip().splitlines()[-1])["points"] == 4
+    rep = json.loads((tmp_path / "c0" / "c0_summary.json").read_text())
+    assert set(rep["max_per_s"]) == {"1", "2"}
+    # points come per solve, in s_rule order
+    points = (tmp_path / "c0" / "c0_scatter.jsonl").read_text().splitlines()
+    assert [json.loads(line)["s"] for line in points] == [2, 1, 2, 1]
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["--m", "6,8"], {}),
+    ([], {"scalar_mode": "real"}),
+    ([], {"eta": 0.5}),
+    ([], {"perfect_threshold": 1e-3}),
+    ([], {"record_timings": True}),
+])
+def test_c0_refuses_settings_it_does_not_honour(capsys, tmp_path, argv, config):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"n": 8, "m_values": [6], "trials": 1, **config}))
+    code, out, err = run_cli(capsys, ["c0", "--config", str(cfg_path), *argv,
+                                      "--out", str(tmp_path / "c0")])
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "ValueError"
+    assert not (tmp_path / "c0").exists()
+
+
 def test_plot_command_from_summary(capsys, tmp_path):
     run_cli(capsys, ["sweep", "--n", "12", "--m", "6", "--s", "1", "--trials", "1",
                      "--out", str(tmp_path / "s")])
@@ -309,3 +364,47 @@ def test_unknown_subcommand_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["transmogrify"])
     assert exc.value.code == 2
+
+
+# Flags each subcommand used to accept and never read.
+_BASE_ARGV = {"recover": ["--phi", "p.json", "--y", "y.json"],
+              "rip": ["--phi", "p.json", "--s", "2"],
+              "ratio": ["--m", "8"],
+              "c0": [],
+              "plot": ["--input", "summary.json", "--out", "x.svg"]}
+_UNREAD = {"recover": "--config --n --m --s --trials --seed --mode",
+           "rip": "--config --n --m --trials --seed --eta --mode --out",
+           "ratio": "--config --n --s --trials --eta",
+           "c0": "--eta --mode",
+           "plot": "--config --n --m --s --trials --seed --eta --mode"}
+_VALUES = {"--config": "cfg.json", "--n": "8", "--m": "8", "--s": "2",
+           "--trials": "2", "--seed": "1", "--eta": "0.5", "--mode": "real",
+           "--out": "o"}
+
+
+@pytest.mark.parametrize("command, flag", [(c, f) for c, flags in _UNREAD.items()
+                                           for f in flags.split()])
+def test_subcommand_refuses_flags_it_does_not_read(command, flag):
+    parser = build_parser()
+    parser.parse_args([command, *_BASE_ARGV[command]])
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args([command, *_BASE_ARGV[command], flag, _VALUES[flag]])
+    assert exc.value.code == 2
+
+
+def _readme_commands() -> list[str]:
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        blocks = re.findall(r"^```[^\n]*\n(.*?)^```", fh.read(), re.M | re.S)
+    return [line for block in blocks for line in block.splitlines()
+            if line.startswith("qcs ")]
+
+
+def test_readme_has_cli_examples():
+    commands = {line.split()[1] for line in _readme_commands()}
+    assert commands == {"sweep", "recover", "rip", "ratio", "c0", "plot"}
+
+
+@pytest.mark.parametrize("line", _readme_commands())
+def test_readme_cli_example_parses(line):
+    build_parser().parse_args(shlex.split(line)[1:])

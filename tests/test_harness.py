@@ -43,7 +43,15 @@ def test_config_validation(tmp_path):
     for kwargs in (dict(trials=0), dict(n=0), dict(m_values=()),
                    dict(m_values=(0,)), dict(scalar_mode="octonion"),
                    dict(eta=-1.0), dict(perfect_threshold=0.0),
-                   dict(s_rule="2..m"), dict(s_rule=(0, 1))):
+                   dict(eta=math.nan), dict(eta=math.inf),
+                   dict(perfect_threshold=math.nan), dict(perfect_threshold=math.inf),
+                   dict(s_rule="2..m"), dict(s_rule=(0, 1)),
+                   # wrong types
+                   dict(n=16.0), dict(n="16"), dict(trials=True), dict(trials=2.5),
+                   dict(base_seed=None), dict(m_values=(8.7,)), dict(m_values=8),
+                   dict(s_rule=(1.9,)), dict(eta="0"), dict(perfect_threshold=True),
+                   dict(record_timings=1), dict(out_dir=None), dict(scalar_mode=0),
+                   dict(solver={"max_iters": 5})):
         with pytest.raises(ValueError):
             small_config(tmp_path, **kwargs)
 
@@ -62,6 +70,14 @@ def test_config_accepts_the_sampler_limits(tmp_path):
     small_config(tmp_path, base_seed=2 ** 64 - 1, trials=2 ** 24,
                  m_values=(2 ** 16 - 1,))
     small_config(tmp_path, n=4, m_values=(8,), s_rule="1..m/2")
+
+
+def test_config_takes_numpy_numbers(tmp_path):
+    cfg = small_config(tmp_path, n=np.int64(16), trials=np.int32(4),
+                       m_values=(np.int64(8),), s_rule=(np.int16(1),),
+                       eta=np.float64(0.0))
+    plain = small_config(tmp_path, s_rule=(1,))
+    assert json.loads(json.dumps(cfg.to_json_dict())) == plain.to_json_dict()
 
 
 def test_config_s_rule():
@@ -194,6 +210,15 @@ def test_sweep_config_drift_guard(tmp_path):
     drifted = small_config(tmp_path, trials=5)
     with pytest.raises(ValueError):
         run_sweep(drifted)
+
+
+@pytest.mark.parametrize("raw", ["two", "0", "-1", ""])
+def test_sweep_refuses_bad_worker_count(tmp_path, monkeypatch, raw):
+    monkeypatch.setenv("QCS_WORKERS", raw)
+    cfg = small_config(tmp_path)
+    with pytest.raises(ValueError, match="QCS_WORKERS"):
+        run_sweep(cfg)
+    assert not os.path.exists(cfg.out_dir)
 
 
 def test_sweep_parallel_matches_serial(tmp_path, monkeypatch):
