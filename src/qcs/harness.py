@@ -54,25 +54,27 @@ def _is_int_list(v) -> bool:
     return isinstance(v, (list, tuple)) and all(map(_is_int, v))
 
 
-# a check per field type, as the dataclasses spell it; numpy numbers pass,
-# bools pass only as bool
-_TYPE_CHECKS = {
-    "int": _is_int,
-    "float": lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool),
-    "bool": lambda v: isinstance(v, bool),
-    "str": lambda v: isinstance(v, str),
-    "tuple[int, ...]": _is_int_list,
-    "str | tuple[int, ...]": lambda v: isinstance(v, str) or _is_int_list(v),
-    "SolverParams": lambda v: isinstance(v, SolverParams),
+def _is_real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+# the type each ExperimentConfig field takes, by field name: a new field
+# needs an entry here. numpy numbers pass; bools pass only as bool.
+# SolverParams checks its own fields.
+_CONFIG_TYPES = {
+    "n": ("an integer", _is_int),
+    "m_values": ("a list of integers", _is_int_list),
+    "s_rule": ("\"1..m/2\" or a list of integers",
+               lambda v: isinstance(v, str) or _is_int_list(v)),
+    "trials": ("an integer", _is_int),
+    "base_seed": ("an integer", _is_int),
+    "scalar_mode": ("a string", lambda v: isinstance(v, str)),
+    "perfect_threshold": ("a number", _is_real),
+    "eta": ("a number", _is_real),
+    "solver": ("a solver object", lambda v: isinstance(v, SolverParams)),
+    "out_dir": ("a string", lambda v: isinstance(v, str)),
+    "record_timings": ("true or false", lambda v: isinstance(v, bool)),
 }
-
-
-def _check_types(values: dict, cls, where: str) -> None:
-    """Each value in values must have the type of the cls field it names."""
-    for f in fields(cls):
-        if f.name in values and not _TYPE_CHECKS[f.type](values[f.name]):
-            raise ValueError(f"{where} key {f.name} must be {f.type}, "
-                             f"got {values[f.name]!r}")
 
 
 def _check_object(d, cls, where: str) -> None:
@@ -99,8 +101,11 @@ class ExperimentConfig:
     record_timings: bool = False
 
     def __post_init__(self):
-        _check_types({f.name: getattr(self, f.name) for f in fields(self)},
-                     ExperimentConfig, "config")
+        for f in fields(self):
+            what, ok = _CONFIG_TYPES[f.name]
+            if not ok(getattr(self, f.name)):
+                raise ValueError(f"config key {f.name} must be {what}, "
+                                 f"got {getattr(self, f.name)!r}")
         # plain ints, so that numpy integers serialize
         for name in ("n", "trials", "base_seed"):
             object.__setattr__(self, name, int(getattr(self, name)))
@@ -156,8 +161,10 @@ class ExperimentConfig:
         d = dict(d)
         if "solver" in d:
             _check_object(d["solver"], SolverParams, "solver")
-            _check_types(d["solver"], SolverParams, "solver")
-            d["solver"] = SolverParams(**d["solver"])
+            try:
+                d["solver"] = SolverParams(**d["solver"])
+            except ValueError as e:
+                raise ValueError(f"solver {e}") from None
         return cls(**d)
 
 
@@ -371,28 +378,27 @@ def _c0_point(x: QVector, x_hat: QVector, s: int) -> float:
     return lp_norm(x_hat - x, 1) / denom
 
 
-def run_c0_experiment(config: ExperimentConfig,
-                      s_values: list[int] | None = None,
-                      verbose: bool = False) -> ScatterData:
+def run_c0_experiment(config: ExperimentConfig, verbose: bool = False) -> ScatterData:
     """Dense Gaussian vectors (sigma2 = 1, no sparsity) measured by one
     fixed m x n matrix; each solve yields a lower bound on the l1 error
-    constant per s via ||x# - x||_1 / ||x - x_s||_1, for s in s_values,
-    else a config.s_rule list, else 1..min(2m, n)."""
+    constant per s via ||x# - x||_1 / ||x - x_s||_1, for s in a
+    config.s_rule list, else 1..min(2m, n)."""
     # noiseless quaternion solves with no verdicts or timings: a config that
     # moves these settings asks for what c0 does not do
-    for f in fields(config):
-        unread = f.name in ("scalar_mode", "eta", "perfect_threshold", "record_timings")
-        if unread and getattr(config, f.name) != f.default:
-            raise ValueError(f"c0 does not read {f.name}, so it must stay {f.default!r}; "
-                             f"got {getattr(config, f.name)!r}")
+    for name in ("scalar_mode", "eta", "perfect_threshold", "record_timings"):
+        default = getattr(ExperimentConfig, name)
+        if getattr(config, name) != default:
+            raise ValueError(f"c0 does not read {name}, so it must stay {default!r}; "
+                             f"got {getattr(config, name)!r}")
     if len(set(config.m_values)) != 1:
         raise ValueError(f"c0 uses one m, got m_values {list(config.m_values)}")
     m = config.m_values[0]
-    if s_values is None:
-        s_values = (list(config.s_rule) if isinstance(config.s_rule, tuple)
-                    else list(range(1, min(2 * m, config.n) + 1)))
-    if any(not 1 <= s <= config.n for s in s_values):
-        raise ValueError(f"s values must lie in [1, {config.n}]")
+    if isinstance(config.s_rule, tuple):
+        s_values = list(config.s_rule)
+        if any(s > config.n for s in s_values):
+            raise ValueError(f"s values must lie in [1, {config.n}]")
+    else:
+        s_values = list(range(1, min(2 * m, config.n) + 1))
     mat_rng = qrandom.trial_stream(config.base_seed, qrandom.PURPOSE_MATRIX, m, 0, 0)
     Phi = qrandom.sample_gaussian_matrix(mat_rng, m, config.n, 1.0 / m)
 

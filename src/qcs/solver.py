@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -89,12 +90,18 @@ class SolverParams:
     polish: bool = True
 
     def __post_init__(self):
-        if self.rho <= 0:
-            raise ValueError("rho must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if self.tol_primal <= 0 or self.tol_dual <= 0:
-            raise ValueError("tolerances must be positive")
+        # numpy numbers pass; a bool is taken only as polish
+        for name in ("rho", "tol_primal", "tol_dual"):
+            v = getattr(self, name)
+            if (isinstance(v, bool) or not isinstance(v, numbers.Real)
+                    or not (math.isfinite(v) and v > 0)):
+                raise ValueError(f"{name} must be a finite positive number, got {v!r}")
+        if (isinstance(self.max_iters, bool) or not isinstance(self.max_iters, numbers.Integral)
+                or self.max_iters < 1):
+            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
+        self.max_iters = int(self.max_iters)
+        if not isinstance(self.polish, bool):
+            raise ValueError(f"polish must be true or false, got {self.polish!r}")
 
 
 @dataclass

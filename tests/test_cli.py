@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import re
 import shlex
@@ -126,6 +127,9 @@ def test_recover_rejects_non_finite_input(capsys, instance_files, tmp_path,
     pytest.param(["recover", "--phi", "PHI", "--y", "PHI"], id="y-is-qmatrix"),
     pytest.param(["recover", "--phi", "PHI", "--y", "Y", "--truth", "PHI"],
                  id="truth-is-qmatrix"),
+    pytest.param(["recover", "--phi", "PHI", "--y", "Y", "--rho", "nan"], id="rho-nan"),
+    pytest.param(["recover", "--phi", "PHI", "--y", "Y", "--tol-primal", "inf"],
+                 id="tol-inf"),
     pytest.param(["rip", "--phi", "Y", "--s", "2"], id="rip-phi-is-qvector"),
     pytest.param(["ratio", "--m", ","], id="ratio-no-m"),
     pytest.param(["ratio", "--m", "8,16", "--samples", "1000"], id="ratio-two-m"),
@@ -230,6 +234,7 @@ def test_sweep_config_unknown_key_fails_cleanly(capsys, tmp_path, extra, unknown
     {"n": "64"}, {"solver": {"max_iters": "5"}}, {"trials": 2.5}, {"n": 16.0},
     {"m_values": [8.7]}, {"s_rule": [1.9]}, {"trials": True}, {"eta": False},
     {"solver": {"polish": 0}}, {"record_timings": "yes"}, {"m_values": 6},
+    {"solver": {"rho": math.nan}}, {"solver": {"tol_dual": math.inf}},
 ])
 def test_sweep_config_wrong_type_fails_cleanly(capsys, tmp_path, extra):
     cfg_path = tmp_path / "cfg.json"

@@ -351,13 +351,13 @@ def test_c0_experiment(tmp_path):
 
 
 def test_c0_experiment_validates_s(tmp_path):
-    cfg = ExperimentConfig(n=8, m_values=(4,), trials=1,
+    # s = 0 is refused by the config itself (test_config_validation)
+    cfg = ExperimentConfig(n=8, m_values=(4,), s_rule=(9,), trials=1,
                            solver=sweep_solver_params(),
                            out_dir=str(tmp_path / "c0v"))
     with pytest.raises(ValueError):
-        run_c0_experiment(cfg, s_values=[0])
-    with pytest.raises(ValueError):
-        run_c0_experiment(cfg, s_values=[9])
+        run_c0_experiment(cfg)
+    assert not os.path.exists(cfg.out_dir)
 
 
 # ---------------------------------------------------------------------------

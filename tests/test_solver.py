@@ -98,8 +98,13 @@ def test_block_soft_threshold_positive_scaling(np_rng):
 
 def test_solver_params_validation():
     SolverParams()
+    SolverParams(rho=np.float64(2.0), max_iters=np.int64(5))
     for kwargs in (dict(rho=0.0), dict(rho=-1.0), dict(max_iters=0),
-                   dict(tol_primal=0.0), dict(tol_dual=-1e-9)):
+                   dict(tol_primal=0.0), dict(tol_dual=-1e-9),
+                   dict(rho=math.nan), dict(rho=math.inf), dict(tol_primal=math.nan),
+                   dict(tol_dual=math.inf), dict(rho="1"), dict(rho=True),
+                   dict(max_iters=5.0), dict(max_iters="5"), dict(max_iters=True),
+                   dict(polish=1)):
         with pytest.raises(ValueError):
             SolverParams(**kwargs)
 
