@@ -18,6 +18,7 @@ import os
 import sys
 
 from . import harness, qlinalg, rip
+from . import random as qrandom
 from .errors import QcsError
 from .solver import RecoveryProblem, SolverParams, solve
 
@@ -53,7 +54,6 @@ def build_config(args) -> harness.ExperimentConfig:
         base["scalar_mode"] = args.mode
     if getattr(args, "full", False):
         base.setdefault("m_values", list(range(2, 65, 2)))
-        base["trials"] = base.get("trials", 1000)
     return harness.ExperimentConfig.from_json_dict(base)
 
 
@@ -235,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("sweep", cmd_sweep, parents=[experiment],
             help="phase-transition sweep over (m, s) cells")
     p.add_argument("--eta", type=float, help="noise bound")
-    p.add_argument("--mode", choices=["quaternion", "real"])
+    p.add_argument("--mode", choices=list(qrandom.GROUP_SIZES))
     p.add_argument("--plot", action="store_true", help="emit heatmap.svg")
     p.add_argument("--full", action="store_true",
                    help="full-grid profile: m = 2..64, 1000 trials (long-running)")
@@ -266,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=str, help="measurement count")
     p.add_argument("--samples", type=int, default=20000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mode", choices=["quaternion", "real"], default="quaternion")
+    p.add_argument("--mode", choices=list(qrandom.GROUP_SIZES), default="quaternion")
     p.add_argument("--out", help="also write the result to this JSON file")
 
     p = add("c0", cmd_c0, parents=[experiment],
@@ -284,7 +284,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (QcsError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (QcsError, ValueError, OSError) as exc:
         record = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(record, sort_keys=True), file=sys.stderr)
         return 1

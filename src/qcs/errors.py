@@ -56,9 +56,5 @@ class DegenerateDelta(UserWarning):
     """delta is numerically zero; inner-product ratios are reported as 0."""
 
 
-class SkippedPoint(QcsError):
-    """A scatter point was dropped because its denominator vanished."""
-
-
 class IoFailure(QcsError):
     """A plot or record file could not be produced."""

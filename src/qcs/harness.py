@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import random as qrandom
-from .errors import IoFailure, QcsError, SkippedPoint
+from .errors import IoFailure, QcsError
 from .qlinalg import (QVector, _pair_product, _split_complex, best_s_sparse, lp_norm,
                       matvec)
 from .solver import RecoveryProblem, SolverParams, solve
@@ -118,8 +118,9 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if not self.m_values or any(m < 1 for m in self.m_values):
             raise ValueError(f"bad m_values {self.m_values}")
-        if self.scalar_mode not in ("quaternion", "real"):
-            raise ValueError(f"scalar_mode must be quaternion|real, got {self.scalar_mode!r}")
+        if self.scalar_mode not in qrandom.GROUP_SIZES:
+            raise ValueError(f"scalar_mode must be {'|'.join(qrandom.GROUP_SIZES)}, got "
+                             f"{self.scalar_mode!r}")
         if not (math.isfinite(self.eta) and self.eta >= 0):
             raise ValueError(f"eta must be finite and >= 0, got {self.eta}")
         if not (math.isfinite(self.perfect_threshold) and self.perfect_threshold > 0):
@@ -228,28 +229,26 @@ class PhaseDiagram:
                 fh.write(f"{s}," + ",".join(row) + "\n")
 
 
-def _sample_problem(n: int, m: int, s: int, trial: int, base_seed: int,
-                    scalar_mode: str, eta: float):
-    mat_rng = qrandom.trial_stream(base_seed, qrandom.PURPOSE_MATRIX, m, s, trial)
-    sig_rng = qrandom.trial_stream(base_seed, qrandom.PURPOSE_SIGNAL, m, s, trial)
-    if scalar_mode == "real":
-        Phi = qrandom.sample_real_gaussian_matrix(mat_rng, m, n, 1.0 / m)
-        x, _ = qrandom.sample_real_sparse_signal(sig_rng, n, s)
-    else:
-        Phi = qrandom.sample_gaussian_matrix(mat_rng, m, n, 1.0 / m)
-        x, _ = qrandom.sample_sparse_signal(sig_rng, n, s)
+def _sample_problem(config: ExperimentConfig, m: int, s: int, trial: int):
+    group = qrandom.GROUP_SIZES[config.scalar_mode]
+    seed = config.base_seed
+    Phi = qrandom.sample_gaussian_matrix(
+        qrandom.trial_stream(seed, qrandom.PURPOSE_MATRIX, m, s, trial),
+        m, config.n, 1.0 / m, group)
+    x, _ = qrandom.sample_sparse_signal(
+        qrandom.trial_stream(seed, qrandom.PURPOSE_SIGNAL, m, s, trial),
+        config.n, s, group)
     y = matvec(Phi, x)
-    if eta > 0:
-        noise_rng = qrandom.trial_stream(base_seed, qrandom.PURPOSE_NOISE, m, s, trial)
-        y = y + qrandom.sample_sphere_noise(noise_rng, m, eta)
+    if config.eta > 0:
+        noise_rng = qrandom.trial_stream(seed, qrandom.PURPOSE_NOISE, m, s, trial)
+        y = y + qrandom.sample_sphere_noise(noise_rng, m, config.eta)
     return Phi, x, y
 
 
 def run_single_trial(config: ExperimentConfig, m: int, s: int, trial: int) -> TrialRecord:
     t0 = time.perf_counter()
     try:
-        Phi, x, y = _sample_problem(config.n, m, s, trial, config.base_seed,
-                                    config.scalar_mode, config.eta)
+        Phi, x, y = _sample_problem(config, m, s, trial)
         result = solve(RecoveryProblem(Phi, y, config.eta), config.solver)
         err_l1 = lp_norm(result.x_hat - x, 1)
         err_l2 = lp_norm(result.x_hat - x, 2)
@@ -286,6 +285,13 @@ def run_sweep(config: ExperimentConfig, verbose: bool = False) -> PhaseDiagram:
     PhaseDiagram, and the same file bytes, as an uninterrupted one.
     """
     workers = worker_count()
+    # cells() drops s > m/2, which c0 does run, so the sweep refuses it here
+    cells = config.cells()
+    listed = config.s_rule if isinstance(config.s_rule, tuple) else ()
+    unrun = sorted(set(listed) - {s for _, s in cells})
+    if unrun or not cells:
+        raise ValueError(f"the sweep runs no cell for s = {unrun or config.s_rule} "
+                         f"at m = {list(config.m_values)}: s must be <= m/2")
     os.makedirs(config.out_dir, exist_ok=True)
     config_path = os.path.join(config.out_dir, "config.json")
     snapshot = config.to_json_dict()
@@ -328,7 +334,7 @@ def run_sweep(config: ExperimentConfig, verbose: bool = False) -> PhaseDiagram:
     rates: dict[tuple[int, int], float] = {}
     try:
         with open(records_path, "a") as sink:
-            for m, s in config.cells():
+            for m, s in cells:
                 pending = [(config, m, s, t) for t in range(config.trials)
                            if (m, s, t) not in done]
                 # starmap keeps the order of pending, which is by trial index
@@ -371,10 +377,10 @@ class ScatterData:
         return out
 
 
-def _c0_point(x: QVector, x_hat: QVector, s: int) -> float:
+def _c0_point(x: QVector, x_hat: QVector, s: int) -> float | None:
     denom = lp_norm(x - best_s_sparse(x, s), 1)
     if denom < 1e-12:
-        raise SkippedPoint(f"||x - x_s||_1 = {denom:.3e} at s={s}")
+        return None
     return lp_norm(x_hat - x, 1) / denom
 
 
@@ -409,11 +415,9 @@ def run_c0_experiment(config: ExperimentConfig, verbose: bool = False) -> Scatte
                                        m, 0, trial)
         x = qrandom.sample_dense_signal(sig_rng, config.n, 1.0)
         result = solve(RecoveryProblem(Phi, matvec(Phi, x), 0.0), config.solver)
-        for s in s_values:
-            try:
-                points.append((s, _c0_point(x, result.x_hat, s)))
-            except SkippedPoint:
-                skipped += 1
+        bounds = [(s, _c0_point(x, result.x_hat, s)) for s in s_values]
+        points += [(s, v) for s, v in bounds if v is not None]
+        skipped += sum(v is None for _, v in bounds)
         if verbose:
             print(f"dense trial {trial + 1}/{config.trials}: "
                   f"status={result.status.value} iters={result.iterations}")
@@ -441,46 +445,42 @@ _RATIO_N = 8
 
 def run_ratio_test(m: int, samples: int, base_seed: int = 0,
                    mode: str = "quaternion") -> dict:
-    """Empirical law of ||Phi x||^2 / ||x||^2 for a fixed unit x in H^8 (or
-    R^8) and fresh m x 8 Gaussian matrices, against its Gamma reference.
+    """Empirical law of ||Phi x||^2 / ||x||^2 for a fixed unit x of length 8
+    and fresh m x 8 Gaussian matrices, against its Gamma reference.
 
-    Quaternion mode: Gamma(2m, rate 2m). Real mode: Gamma(m/2, rate m/2),
-    whose variance 2/m is four times larger.
+    x and Phi (entry variance 1/m) are drawn in the mode's field by the
+    qcs.random rule, each of an entry's g real components carrying 1/g of
+    its variance, so the law is Gamma(g*m/2, rate g*m/2) with variance
+    2/(g*m): four times larger for R (g = 1) than for H (g = 4).
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     if samples < 1000:
         raise ValueError("samples must be >= 1000")
-    if mode not in ("quaternion", "real"):
-        raise ValueError(f"mode must be quaternion|real, got {mode!r}")
+    if mode not in qrandom.GROUP_SIZES:
+        raise ValueError(f"mode must be {'|'.join(qrandom.GROUP_SIZES)}, got {mode!r}")
     # scipy.stats takes most of a second to import and only the KS
     # distance below uses it
     from scipy import stats
 
+    group = qrandom.GROUP_SIZES[mode]
     x_rng = qrandom.trial_stream(base_seed, qrandom.PURPOSE_RATIO, m, 0, 0)
     phi_rng = qrandom.trial_stream(base_seed, qrandom.PURPOSE_RATIO, m, 0, 1)
+    x = qrandom.sample_dense_signal(x_rng, _RATIO_N, 1.0, group)
+    x = x.data[:, :group] / lp_norm(x, 2)  # the g field components of a unit x
 
-    if mode == "quaternion":
-        xq = qrandom.sample_dense_signal(x_rng, _RATIO_N, 1.0)
-        X1, X2 = _split_complex(xq.data / lp_norm(xq, 2))
-
-        def chunk(C: int) -> np.ndarray:
-            comp = phi_rng.normals((C, m, _RATIO_N, 4), math.sqrt(1.0 / (4 * m)))
-            Y1, Y2 = _pair_product(*_split_complex(comp), X1, X2)
-            return np.sum(np.abs(Y1) ** 2 + np.abs(Y2) ** 2, axis=1)
-        shape, rate = 2 * m, 2 * m
-    else:
-        xv = x_rng.normals(_RATIO_N, 1.0)
-        xv = xv / np.linalg.norm(xv)
-
-        def chunk(C: int) -> np.ndarray:
-            P = phi_rng.normals((C, m, _RATIO_N), math.sqrt(1.0 / m))
-            return np.sum((P @ xv) ** 2, axis=1)
-        shape, rate = m / 2.0, m / 2.0
+    def chunk(C: int) -> np.ndarray:
+        P = qrandom.field_normals(phi_rng, (C, m, _RATIO_N), 1.0 / m, group)
+        if group == 1:
+            # a real product; the pair product moves it in the last digits
+            return np.sum((P[..., 0] @ x[:, 0]) ** 2, axis=1)
+        Y1, Y2 = _pair_product(*_split_complex(P), *_split_complex(x))
+        return np.sum(np.abs(Y1) ** 2 + np.abs(Y2) ** 2, axis=1)
     vals = np.concatenate([chunk(min(samples - done, 4096))
                            for done in range(0, samples, 4096)])
 
-    ks = stats.kstest(vals, stats.gamma(a=shape, scale=1.0 / rate).cdf).statistic
+    rate = group * m / 2
+    ks = stats.kstest(vals, stats.gamma(a=rate, scale=1.0 / rate).cdf).statistic
     return {"m": m, "samples": samples, "mode": mode,
             "mean": float(np.mean(vals)),
             "variance": float(np.var(vals, ddof=1)),

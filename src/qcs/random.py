@@ -1,4 +1,8 @@
-"""Seeded, reproducible samplers for quaternion Gaussian data.
+"""Seeded, reproducible samplers for Gaussian data in R and H.
+
+One rule draws an entry of variance sigma2 in R or in H: each of its
+field's g real components (GROUP_SIZES: g = 1 for R, 4 for H) is
+N(0, sigma2/g), and the other components of its quaternion slot are 0.
 
 Every consumer owns an RngStream identified by (seed, stream_id). Streams
 are backed by the counter-based Philox generator keyed through a
@@ -31,6 +35,9 @@ PURPOSE_DENSE = 5
 PURPOSE_RIP = 6
 
 _MAX_SEED = 2 ** 64
+
+# g, the real components per entry, of each scalar mode's field
+GROUP_SIZES = {"quaternion": 4, "real": 1}
 
 
 class RngStream:
@@ -87,28 +94,31 @@ def _check_variance(sigma2: float) -> None:
 
 def sample_quaternion_gaussian(rng: RngStream, sigma2: float) -> Quaternion:
     """N_H(0, sigma2): four independent real components, each N(0, sigma2/4)."""
-    _check_variance(sigma2)
-    comps = rng.normals(4, math.sqrt(sigma2 / 4.0))
-    return Quaternion(*comps)
+    return Quaternion(*field_normals(rng, (), sigma2))
 
 
-def sample_gaussian_matrix(rng: RngStream, m: int, n: int, sigma2: float) -> QMatrix:
-    """m x n of i.i.d. N_H(0, sigma2) entries; sigma2 = 1/m normalizes columns."""
+def field_normals(rng: RngStream, shape: tuple[int, ...], sigma2: float,
+                  group: int = 4) -> np.ndarray:
+    """The g real components of i.i.d. entries of variance sigma2, by the
+    module rule: an array of shape + (g,), each N(0, sigma2/g)."""
     _check_variance(sigma2)
+    if group not in GROUP_SIZES.values():
+        raise ValueError(f"group size {group!r} is not in {sorted(GROUP_SIZES.values())}")
+    return rng.normals((*shape, group), math.sqrt(sigma2 / group))
+
+
+def _pad(c: np.ndarray) -> np.ndarray:
+    """Quaternion slots holding the g components c, zero in the other 4 - g."""
+    return np.pad(c, [(0, 0)] * (c.ndim - 1) + [(0, 4 - c.shape[-1])])
+
+
+def sample_gaussian_matrix(rng: RngStream, m: int, n: int, sigma2: float,
+                           group: int = 4) -> QMatrix:
+    """m x n of i.i.d. entries of variance sigma2 in the field of group size
+    g; sigma2 = 1/m normalizes columns."""
     if m < 1 or n < 1:
         raise ValueError(f"matrix shape ({m}, {n}) must be positive")
-    return QMatrix(rng.normals((m, n, 4), math.sqrt(sigma2 / 4.0)))
-
-
-def sample_real_gaussian_matrix(rng: RngStream, m: int, n: int, sigma2: float) -> QMatrix:
-    """Real Gaussian ensemble embedded in H: scalar parts N(0, sigma2), the
-    full variance in one component, imaginary parts zero."""
-    _check_variance(sigma2)
-    if m < 1 or n < 1:
-        raise ValueError(f"matrix shape ({m}, {n}) must be positive")
-    data = np.zeros((m, n, 4))
-    data[..., 0] = rng.normals((m, n), math.sqrt(sigma2))
-    return QMatrix(data)
+    return QMatrix(_pad(field_normals(rng, (m, n), sigma2, group)))
 
 
 def sample_support(rng: RngStream, n: int, s: int) -> SupportSet:
@@ -122,28 +132,21 @@ def sample_support(rng: RngStream, n: int, s: int) -> SupportSet:
     return SupportSet(tuple(sorted(pool[:s])))
 
 
-def sample_sparse_signal(rng: RngStream, n: int, s: int) -> tuple[QVector, SupportSet]:
-    """s-sparse signal with uniform support and i.i.d. N_H(0, 1) entries."""
+def sample_sparse_signal(rng: RngStream, n: int, s: int,
+                         group: int = 4) -> tuple[QVector, SupportSet]:
+    """s-sparse signal with uniform support and i.i.d. unit-variance entries
+    in the field of group size g."""
     S = sample_support(rng, n, s)
     data = np.zeros((n, 4))
-    if s:
-        data[list(S.indices)] = rng.normals((s, 4), 0.5)
+    data[list(S.indices), :group] = field_normals(rng, (s,), 1.0, group)
     return QVector(data), S
 
 
-def sample_real_sparse_signal(rng: RngStream, n: int, s: int) -> tuple[QVector, SupportSet]:
-    """Real-mode variant: nonzero entries are N(0, 1) in the scalar slot."""
-    S = sample_support(rng, n, s)
-    data = np.zeros((n, 4))
-    if s:
-        data[list(S.indices), 0] = rng.normals(s, 1.0)
-    return QVector(data), S
-
-
-def sample_dense_signal(rng: RngStream, n: int, sigma2: float = 1.0) -> QVector:
-    """Dense vector of i.i.d. N_H(0, sigma2) entries (no sparsity)."""
-    _check_variance(sigma2)
-    return QVector(rng.normals((n, 4), math.sqrt(sigma2 / 4.0)))
+def sample_dense_signal(rng: RngStream, n: int, sigma2: float = 1.0,
+                        group: int = 4) -> QVector:
+    """Dense vector of i.i.d. entries of variance sigma2 in the field of
+    group size g (no sparsity)."""
+    return QVector(_pad(field_normals(rng, (n,), sigma2, group)))
 
 
 def sample_sphere_noise(rng: RngStream, m: int, radius: float) -> QVector:

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -14,10 +15,9 @@ import qcs
 from qcs.cli import build_config, build_parser, main
 from qcs.qlinalg import load_json, matvec, save_json
 from qcs.random import (
+    GROUP_SIZES,
     RngStream,
     sample_gaussian_matrix,
-    sample_real_gaussian_matrix,
-    sample_real_sparse_signal,
     sample_sparse_signal,
 )
 from qcs.rip import exact_delta
@@ -78,8 +78,8 @@ def test_recover_real_input(capsys, tmp_path, max_iters, status, iterations):
     # real Phi and y are solved on the m x n operator; status and iteration
     # count are pinned to those of the 4m x 4n embedding
     rng = RngStream(19, 0)
-    Phi = sample_real_gaussian_matrix(rng, 12, 40, 1.0 / 12)
-    x, _ = sample_real_sparse_signal(rng.child(1), 40, 4)
+    Phi = sample_gaussian_matrix(rng, 12, 40, 1.0 / 12, 1)
+    x, _ = sample_sparse_signal(rng.child(1), 40, 4, 1)
     paths = {name: str(tmp_path / f"{name}.json") for name in ("phi", "y", "x")}
     save_json(Phi, paths["phi"])
     save_json(matvec(Phi, x), paths["y"])
@@ -274,6 +274,35 @@ def test_sweep_outside_sampler_range_fails_cleanly(capsys, tmp_path, flags):
     assert out == ""
     assert json.loads(err)["error"] == "ValueError"
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("flags", [["--n", "16", "--m", "8", "--s", "6"], ["--m", "1"],
+                                   ["--n", "16", "--m", "8,16", "--s", "2,9"]])
+def test_sweep_with_an_s_no_m_runs_fails_cleanly(capsys, tmp_path, flags):
+    # a sweep caps s at m/2: s = 6 at m = 8, any s at m = 1, s = 9 at m <= 16
+    code, out, err = run_cli(capsys, ["sweep", *flags, "--trials", "1",
+                                      "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "ValueError"
+    assert not (tmp_path / "o").exists()
+
+
+def test_c0_takes_s_above_half_m(capsys, tmp_path):
+    # c0 bounds the error constant at any s, not only the sweep's s <= m/2
+    code, out, _ = run_cli(capsys, ["c0", "--n", "16", "--m", "8", "--s", "6",
+                                    "--trials", "1", "--out", str(tmp_path / "c0")])
+    assert code == 0
+    assert json.loads(out.strip().splitlines()[-1])["points"] == 1
+
+
+@pytest.mark.parametrize("command", ["sweep", "ratio"])
+def test_mode_choices_are_the_group_table(command):
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    mode = next(a for a in sub.choices[command]._actions if "--mode" in a.option_strings)
+    assert list(mode.choices) == list(GROUP_SIZES)
 
 
 def test_sweep_full_profile_config():

@@ -6,6 +6,7 @@ import pytest
 from qcs.errors import InvalidVariance, SparsityOutOfRange
 from qcs.qlinalg import lp_norm, support
 from qcs.random import (
+    GROUP_SIZES,
     PURPOSE_MATRIX,
     PURPOSE_SIGNAL,
     RngStream,
@@ -13,8 +14,6 @@ from qcs.random import (
     sample_dense_signal,
     sample_gaussian_matrix,
     sample_quaternion_gaussian,
-    sample_real_gaussian_matrix,
-    sample_real_sparse_signal,
     sample_sparse_signal,
     sample_sphere_noise,
     sample_support,
@@ -81,12 +80,61 @@ def test_matrix_column_normalization():
 
 
 def test_real_matrix_mode():
-    Phi = sample_real_gaussian_matrix(RngStream(4, 0), 40, 300, 1.0 / 40)
+    Phi = sample_gaussian_matrix(RngStream(4, 0), 40, 300, 1.0 / 40, 1)
     assert np.all(Phi.data[..., 1:] == 0.0)
     # full variance sits in the scalar slot
     assert abs(Phi.data[..., 0].var() * 40 - 1.0) < 0.05
     norms = np.sqrt(np.sum(Phi.data**2, axis=(0, 2)))
     assert abs(float(norms.mean()) - 1.0) < 0.05
+
+
+@pytest.mark.parametrize("m, n, sigma2", [(3, 5, 1.0 / 3), (6, 4, 2.5)])
+def test_group_one_replays_real_draws(m, n, sigma2):
+    # all of an entry's variance in slot 0, the draws of a real sampler
+    Phi = sample_gaussian_matrix(RngStream(12, 0), m, n, sigma2, 1)
+    assert np.array_equal(Phi.data[..., 0],
+                          RngStream(12, 0).normals((m, n), math.sqrt(sigma2)))
+    assert np.all(Phi.data[..., 1:] == 0.0)
+    x = sample_dense_signal(RngStream(12, 1), n, sigma2, 1)
+    assert np.array_equal(x.data[:, 0], RngStream(12, 1).normals(n, math.sqrt(sigma2)))
+    assert np.all(x.data[:, 1:] == 0.0)
+    x, S = sample_sparse_signal(RngStream(12, 2), n + 6, 3, 1)
+    rng = RngStream(12, 2)
+    assert sample_support(rng, n + 6, 3).indices == S.indices
+    expected = np.zeros((n + 6, 4))
+    expected[list(S.indices), 0] = rng.normals(3, 1.0)
+    assert np.array_equal(x.data, expected)
+
+
+@pytest.mark.parametrize("m, n, sigma2", [(3, 5, 1.0 / 3), (6, 4, 2.5)])
+def test_group_four_replays_quaternion_draws(m, n, sigma2):
+    # sigma2/4 in each of the four slots; 4 is the default group
+    scale = math.sqrt(sigma2 / 4)
+    for args in ((), (4,)):
+        Phi = sample_gaussian_matrix(RngStream(13, 0), m, n, sigma2, *args)
+        assert np.array_equal(Phi.data, RngStream(13, 0).normals((m, n, 4), scale))
+        x = sample_dense_signal(RngStream(13, 1), n, sigma2, *args)
+        assert np.array_equal(x.data, RngStream(13, 1).normals((n, 4), scale))
+        x, S = sample_sparse_signal(RngStream(13, 2), n + 6, 3, *args)
+        rng = RngStream(13, 2)
+        assert sample_support(rng, n + 6, 3).indices == S.indices
+        expected = np.zeros((n + 6, 4))
+        expected[list(S.indices)] = rng.normals((3, 4), 0.5)
+        assert np.array_equal(x.data, expected)
+    q = sample_quaternion_gaussian(RngStream(13, 3), sigma2)
+    assert np.array_equal(q.components, RngStream(13, 3).normals(4, scale))
+
+
+@pytest.mark.parametrize("group", [0, 2, 3, 5])
+def test_group_size_outside_table_is_refused(group):
+    assert group not in GROUP_SIZES.values()
+    rng = RngStream(14, 0)
+    with pytest.raises(ValueError, match="group size"):
+        sample_gaussian_matrix(rng, 2, 3, 0.5, group)
+    with pytest.raises(ValueError, match="group size"):
+        sample_sparse_signal(rng, 5, 2, group)
+    with pytest.raises(ValueError, match="group size"):
+        sample_dense_signal(rng, 5, 1.0, group)
 
 
 def test_support_sampling():
@@ -135,7 +183,7 @@ def test_sparse_signal_entry_law():
 
 
 def test_real_sparse_signal():
-    x, S = sample_real_sparse_signal(RngStream(11, 0), 15, 4)
+    x, S = sample_sparse_signal(RngStream(11, 0), 15, 4, 1)
     assert np.all(x.data[:, 1:] == 0.0)
     assert support(x).indices == S.indices
     nz = x.data[list(S.indices), 0]

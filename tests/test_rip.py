@@ -21,7 +21,6 @@ from qcs.random import (
     RngStream,
     derive_stream_id,
     sample_gaussian_matrix,
-    sample_real_gaussian_matrix,
 )
 from qcs.rip import (
     DEFAULT_BUDGET,
@@ -98,7 +97,7 @@ def test_budget_exceeded():
 
 def test_real_matrix_consistency():
     # for a real ensemble the quaternion enumeration reduces to the real one
-    Phi = sample_real_gaussian_matrix(RngStream(2, 0), 6, 9, 1.0 / 6)
+    Phi = sample_gaussian_matrix(RngStream(2, 0), 6, 9, 1.0 / 6, 1)
     A = Phi.data[..., 0]
     got = exact_delta(Phi, 2).delta
     want = 0.0

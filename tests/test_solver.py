@@ -13,8 +13,6 @@ from qcs.random import (
     PURPOSE_SIGNAL,
     RngStream,
     sample_gaussian_matrix,
-    sample_real_gaussian_matrix,
-    sample_real_sparse_signal,
     sample_sparse_signal,
     sample_sphere_noise,
     trial_stream,
@@ -45,8 +43,8 @@ def sparse_instance(seed, m, n, s, eta=0.0):
 def real_instance(seed, m, n, s, eta=0.0):
     """Real Phi and x; the noise, when eta > 0, is real with norm eta."""
     rng = RngStream(seed, 0)
-    Phi = sample_real_gaussian_matrix(rng, m, n, 1.0 / m)
-    x, _ = sample_real_sparse_signal(rng.child(1), n, s)
+    Phi = sample_gaussian_matrix(rng, m, n, 1.0 / m, 1)
+    x, _ = sample_sparse_signal(rng.child(1), n, s, 1)
     y = matvec(Phi, x)
     if eta > 0:
         d = rng.child(2).normals(m, 1.0)
