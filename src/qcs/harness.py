@@ -241,7 +241,7 @@ def _sample_problem(config: ExperimentConfig, m: int, s: int, trial: int):
     y = matvec(Phi, x)
     if config.eta > 0:
         noise_rng = qrandom.trial_stream(seed, qrandom.PURPOSE_NOISE, m, s, trial)
-        y = y + qrandom.sample_sphere_noise(noise_rng, m, config.eta)
+        y = y + qrandom.sample_sphere_noise(noise_rng, m, config.eta, group)
     return Phi, x, y
 
 

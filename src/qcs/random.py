@@ -92,6 +92,11 @@ def _check_variance(sigma2: float) -> None:
         raise InvalidVariance(f"sigma2 must be finite and positive, got {sigma2!r}")
 
 
+def _check_group(group: int) -> None:
+    if group not in GROUP_SIZES.values():
+        raise ValueError(f"group size {group!r} is not in {sorted(GROUP_SIZES.values())}")
+
+
 def sample_quaternion_gaussian(rng: RngStream, sigma2: float) -> Quaternion:
     """N_H(0, sigma2): four independent real components, each N(0, sigma2/4)."""
     return Quaternion(*field_normals(rng, (), sigma2))
@@ -102,8 +107,7 @@ def field_normals(rng: RngStream, shape: tuple[int, ...], sigma2: float,
     """The g real components of i.i.d. entries of variance sigma2, by the
     module rule: an array of shape + (g,), each N(0, sigma2/g)."""
     _check_variance(sigma2)
-    if group not in GROUP_SIZES.values():
-        raise ValueError(f"group size {group!r} is not in {sorted(GROUP_SIZES.values())}")
+    _check_group(group)
     return rng.normals((*shape, group), math.sqrt(sigma2 / group))
 
 
@@ -149,8 +153,11 @@ def sample_dense_signal(rng: RngStream, n: int, sigma2: float = 1.0,
     return QVector(_pad(field_normals(rng, (n,), sigma2, group)))
 
 
-def sample_sphere_noise(rng: RngStream, m: int, radius: float) -> QVector:
-    """Uniform on the l2 sphere of the given radius in H^m; zero when radius=0.
+def sample_sphere_noise(rng: RngStream, m: int, radius: float,
+                        group: int = 4) -> QVector:
+    """Uniform on the l2 sphere of the given radius in the field of group
+    size g, to the power m (H^m for g = 4, R^m for g = 1); zero when
+    radius=0.
 
     Drawing at exactly ||e||_2 = radius (rather than inside the ball)
     makes noise-bound experiments sharp: eta is the realized norm, not
@@ -158,10 +165,11 @@ def sample_sphere_noise(rng: RngStream, m: int, radius: float) -> QVector:
     """
     if radius < 0:
         raise ValueError(f"radius must be nonnegative, got {radius}")
+    _check_group(group)
     if radius == 0 or m == 0:
         return QVector.zeros(m)
     while True:
-        data = rng.normals((m, 4), 1.0)
+        data = rng.normals((m, group), 1.0)
         nrm = math.sqrt(float(np.sum(data * data)))
         if nrm > 0:
-            return QVector(data * (radius / nrm))
+            return QVector(_pad(data * (radius / nrm)))

@@ -4,7 +4,7 @@ Everything here is deliberately written from first principles so that a bug
 in the package cannot hide behind a shared helper: multiplication comes from
 a basis table, the real embedding from a hand-written left-multiplication
 block, operator norms from power iteration, and minimizers from support
-enumeration.
+enumeration or, for real basis pursuit, from an exact linear program.
 """
 from __future__ import annotations
 
@@ -141,6 +141,23 @@ def brute_force_min_l1(Phi: QMatrix, y: QVector, max_support: int,
             groups = sol.reshape(size, 4)
             best = min(best, float(np.sum(np.sqrt(np.sum(groups ** 2, axis=1)))))
     return best
+
+
+def lp_min_l1(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """A minimizer of ||z||_1 subject to A z = b for real A and b: the
+    linear program min 1'(z+ + z-) s.t. A (z+ - z-) = b, z+, z- >= 0,
+    solved exactly by HiGHS. The result is a vertex, so it is the
+    minimizer whenever the minimizer is unique.
+    """
+    from scipy.optimize import linprog
+
+    A = np.asarray(A, dtype=np.float64)
+    n = A.shape[1]
+    res = linprog(np.ones(2 * n), A_eq=np.hstack([A, -A]), b_eq=b,
+                  bounds=(0, None), method="highs")
+    if res.status != 0:
+        raise ValueError(f"linprog failed: {res.message}")
+    return res.x[:n] - res.x[n:]
 
 
 def near_isometry_matrix(seed: int, m: int, n: int) -> QMatrix:

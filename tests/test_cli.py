@@ -73,7 +73,7 @@ def test_recover_writes_solution(capsys, instance_files, tmp_path):
 
 
 @pytest.mark.parametrize("max_iters, status, iterations",
-                         [(None, "converged", 894), (40, "max_iters", 40)])
+                         [(None, "converged", 459), (40, "max_iters", 40)])
 def test_recover_real_input(capsys, tmp_path, max_iters, status, iterations):
     # real Phi and y are solved on the m x n operator; status and iteration
     # count are pinned to those of the 4m x 4n embedding

@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from qcs import random as qrandom
+from qcs import solver
 from qcs.errors import IoFailure
 from qcs.harness import (
     ExperimentConfig,
     PhaseDiagram,
     ScatterData,
     TrialRecord,
+    _sample_problem,
     emit_plot,
     render_heatmap,
     render_scatter,
@@ -23,7 +25,7 @@ from qcs.harness import (
     worker_count,
 )
 from qcs.qlinalg import QMatrix, QVector, lp_norm, matvec
-from qcs.solver import SolverParams
+from qcs.solver import RecoveryProblem, SolverParams
 
 
 def small_config(tmp_path, **overrides):
@@ -120,6 +122,18 @@ def test_single_trial_perfect(tmp_path):
     assert rec.err_l2 <= cfg.perfect_threshold
     assert rec.status == "converged"
     assert rec.iterations > 0
+
+
+@pytest.mark.parametrize("mode, group", [("real", 1), ("quaternion", 4)])
+def test_noisy_problem_stays_in_its_field(tmp_path, mode, group):
+    cfg = small_config(tmp_path, n=32, m_values=(8,), s_rule=(2,), eta=0.01,
+                       scalar_mode=mode)
+    for trial in range(3):
+        Phi, x, y = _sample_problem(cfg, 8, 2, trial)
+        noise = y - matvec(Phi, x)
+        assert abs(lp_norm(noise, 2) - cfg.eta) < 1e-12
+        assert noise.data[:, 1:].any() == (group == 4)
+        assert solver._real_form(RecoveryProblem(Phi, y, cfg.eta))[2] == group
 
 
 def test_easy_cell_rate_is_one(tmp_path):

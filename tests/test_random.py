@@ -135,6 +135,8 @@ def test_group_size_outside_table_is_refused(group):
         sample_sparse_signal(rng, 5, 2, group)
     with pytest.raises(ValueError, match="group size"):
         sample_dense_signal(rng, 5, 1.0, group)
+    with pytest.raises(ValueError, match="group size"):
+        sample_sphere_noise(rng, 5, 0.1, group)
 
 
 def test_support_sampling():
@@ -198,3 +200,22 @@ def test_sphere_noise_radius():
     assert lp_norm(z, 2) == 0.0
     with pytest.raises(ValueError):
         sample_sphere_noise(RngStream(12, 2), 7, -0.1)
+
+
+@pytest.mark.parametrize("m, radius", [(1, 0.5), (7, 0.01), (30, 2.0)])
+def test_sphere_noise_replays_quaternion_draws(m, radius):
+    # (m, 4) unit normals scaled onto the sphere; 4 is the default group
+    d = RngStream(15, 0).normals((m, 4), 1.0)
+    expected = d * (radius / math.sqrt(float(np.sum(d * d))))
+    for args in ((), (4,)):
+        e = sample_sphere_noise(RngStream(15, 0), m, radius, *args)
+        assert np.array_equal(e.data, expected)
+
+
+@pytest.mark.parametrize("m, radius", [(1, 0.5), (7, 0.01), (30, 2.0)])
+def test_sphere_noise_group_one_is_real(m, radius):
+    e = sample_sphere_noise(RngStream(16, 0), m, radius, 1)
+    d = RngStream(16, 0).normals((m, 1), 1.0)
+    assert not e.data[:, 1:].any()
+    assert np.array_equal(e.data[:, :1], d * (radius / math.sqrt(float(np.sum(d * d)))))
+    assert abs(lp_norm(e, 2) - radius) < 1e-12 * max(1.0, radius)

@@ -7,6 +7,7 @@ import oracles
 from qcs import solver
 from qcs.embedding import build_embedding, vec4
 from qcs.errors import NonFiniteInput
+from qcs.harness import ExperimentConfig, _sample_problem
 from qcs.qlinalg import QMatrix, QVector, lp_norm, matvec, support
 from qcs.random import (
     PURPOSE_MATRIX,
@@ -367,3 +368,62 @@ def test_one_imaginary_entry_takes_quaternion_path(monkeypatch, seed, m, n, s):
     # nonzero coordinates
     assert len(support(res.x_hat)) <= m
     assert abs(res.objective - oracles.brute_force_min_l1(Phi, y, m)) < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# rho schedule: residual balancing settles after RHO_MAX_CHANGES changes
+
+
+def sweep_trial(mode, m, s, base_seed):
+    """Trial 0 of cell (m, s) of a sweep at n = 256, as the harness samples
+    and solves it."""
+    config = ExperimentConfig(n=256, m_values=(m,), s_rule=(s,), trials=1,
+                              base_seed=base_seed, scalar_mode=mode)
+    Phi, x, y = _sample_problem(config, m, s, 0)
+    return RecoveryProblem(Phi=Phi, y=y, eta=config.eta), x, config
+
+
+# With a schedule that never settled, both trials ran to the sweep's
+# 3000-iteration cap with a wrong verdict: H (8, 1) at base seed 2 after
+# 666 changes of rho (err_l2 0.45), R (32, 4) at base seed 0 after 351
+# (err_l2 1.6e-5).
+@pytest.mark.parametrize("mode, m, s, base_seed",
+                         [("quaternion", 8, 1, 2), ("real", 32, 4, 0)])
+def test_capped_trials_converge_once_rho_settles(mode, m, s, base_seed):
+    problem, x, config = sweep_trial(mode, m, s, base_seed)
+    res = solve(problem, config.solver)
+    assert res.status is SolveStatus.CONVERGED
+    assert res.rho_changes <= solver.RHO_MAX_CHANGES
+    # both verdicts are now success; for R the exact LP must agree
+    assert lp_norm(res.x_hat - x, 2) <= config.perfect_threshold
+    if mode == "real":
+        z = oracles.lp_min_l1(problem.Phi.data[..., 0], problem.y.data[:, 0])
+        assert np.linalg.norm(z - x.data[:, 0]) <= config.perfect_threshold
+
+
+# Converging benchmark cells use few changes of rho (these two: 2 and 7;
+# at most 10 over 24 rounds of the nine cells), so the bound must leave
+# their solves bit-identical.
+@pytest.mark.parametrize("mode, m, s, base_seed",
+                         [("quaternion", 32, 9, 0), ("quaternion", 8, 2, 0)])
+def test_converged_trials_do_not_reach_the_bound(monkeypatch, mode, m, s, base_seed):
+    problem, _, config = sweep_trial(mode, m, s, base_seed)
+    bounded = solve(problem, config.solver)
+    assert bounded.status is SolveStatus.CONVERGED
+    assert bounded.rho_changes < solver.RHO_MAX_CHANGES
+    monkeypatch.setattr(solver, "RHO_MAX_CHANGES", 10 ** 9)
+    unbounded = solve(problem, config.solver)
+    assert np.array_equal(bounded.x_hat.data, unbounded.x_hat.data)
+    for name in ("iterations", "primal_residual", "dual_residual", "objective",
+                 "polished", "status", "rho", "rho_changes"):
+        assert getattr(bounded, name) == getattr(unbounded, name)
+
+
+def test_rho_stops_changing_at_the_bound():
+    problem, _, config = sweep_trial("quaternion", 8, 1, 2)
+    rhos = []
+    res = solve(problem, config.solver,
+                on_iteration=lambda it, pri, dual, obj, rho: rhos.append(rho))
+    changes = [k for k in range(1, len(rhos)) if rhos[k] != rhos[k - 1]]
+    assert len(changes) == res.rho_changes == solver.RHO_MAX_CHANGES
+    assert rhos[-1] == res.rho
