@@ -184,26 +184,28 @@ def cmd_c0(args) -> int:
     return 0
 
 
+def _plot_data(path):
+    """The PhaseDiagram or (s, value) points that the file at path holds."""
+    if path.endswith(".jsonl"):
+        with open(path) as fh:
+            return [(d["s"], d["c0_lower_bound"])
+                    for d in (json.loads(line) for line in fh if line.strip())]
+    with open(path) as fh:
+        payload = json.load(fh)
+    kind = payload.get("kind") if isinstance(payload, dict) else None
+    if kind == "sweep_summary":
+        return harness.PhaseDiagram.from_summary_dict(payload)
+    if kind == "c0_summary":
+        return [(int(s), v) for s, v in payload["max_per_s"].items()]
+    raise ValueError(f"cannot plot payload of kind {kind!r}")
+
+
 def cmd_plot(args) -> int:
-    if args.input.endswith(".jsonl"):
-        points = []
-        with open(args.input) as fh:
-            for line in fh:
-                if line.strip():
-                    d = json.loads(line)
-                    points.append((d["s"], d["c0_lower_bound"]))
-        harness.emit_plot(points, args.out)
-    else:
-        with open(args.input) as fh:
-            payload = json.load(fh)
-        kind = payload.get("kind")
-        if kind == "sweep_summary":
-            harness.emit_plot(harness.PhaseDiagram.from_summary_dict(payload), args.out)
-        elif kind == "c0_summary":
-            points = [(int(s), v) for s, v in payload["max_per_s"].items()]
-            harness.emit_plot(points, args.out)
-        else:
-            raise ValueError(f"cannot plot payload of kind {kind!r}")
+    try:
+        harness.emit_plot(_plot_data(args.input), args.out)
+    except (AttributeError, KeyError, TypeError) as exc:
+        # JSON of the wrong shape, such as a list where an object belongs
+        raise ValueError(f"malformed plot input {args.input}: {exc!r}") from exc
     print(json.dumps({"out": args.out}, sort_keys=True))
     return 0
 

@@ -106,9 +106,11 @@ class ExperimentConfig:
             if not ok(getattr(self, f.name)):
                 raise ValueError(f"config key {f.name} must be {what}, "
                                  f"got {getattr(self, f.name)!r}")
-        # plain ints, so that numpy integers serialize
+        # plain ints and floats, so that numpy numbers serialize
         for name in ("n", "trials", "base_seed"):
             object.__setattr__(self, name, int(getattr(self, name)))
+        for name in ("eta", "perfect_threshold"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         object.__setattr__(self, "m_values", tuple(int(m) for m in self.m_values))
         if isinstance(self.s_rule, (list, tuple)):
             object.__setattr__(self, "s_rule", tuple(int(s) for s in self.s_rule))
@@ -422,8 +424,9 @@ def run_c0_experiment(config: ExperimentConfig, verbose: bool = False) -> Scatte
             print(f"dense trial {trial + 1}/{config.trials}: "
                   f"status={result.status.value} iters={result.iterations}")
 
+    # the echo names the s values run, not the rule that chose them
     data = ScatterData(points=tuple(points), skipped=skipped,
-                       config=config.to_json_dict())
+                       config={**config.to_json_dict(), "s_rule": s_values})
     os.makedirs(config.out_dir, exist_ok=True)
     with open(os.path.join(config.out_dir, "c0_scatter.jsonl"), "w") as fh:
         for s, v in points:

@@ -20,6 +20,7 @@ with purpose < 2^8, m < 2^16, s < 2^16, trial < 2^24.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -88,7 +89,9 @@ def trial_stream(base_seed: int, purpose: int, m: int = 0, s: int = 0,
 
 
 def _check_variance(sigma2: float) -> None:
-    if not (isinstance(sigma2, (int, float)) and math.isfinite(sigma2) and sigma2 > 0):
+    # numpy numbers pass; a bool does not
+    if (isinstance(sigma2, bool) or not isinstance(sigma2, numbers.Real)
+            or not (math.isfinite(sigma2) and sigma2 > 0)):
         raise InvalidVariance(f"sigma2 must be finite and positive, got {sigma2!r}")
 
 

@@ -9,6 +9,11 @@ Hermitian principal submatrices never increase the operator norm.
 
 All spectral work happens on the 2n x 2n complex adjoint of the Gram
 residual, computed once and sliced per support.
+
+The sampled tools, sampled_delta_lower_bound and check_rip_ip, draw
+through one helper, _sparse_images: uniform supports from one random
+permutation per draw, entries by the qcs.random rule (unit variance in
+H) scaled to unit norm, and images through qlinalg._pair_product.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import numpy as np
 from .errors import BudgetExceeded, ConditionViolated, DegenerateDelta
 from .qlinalg import (QMatrix, SupportSet, _pair_product, _split_complex, adjoint,
                       complex_adjoint, matmul)
-from .random import PURPOSE_RIP, RngStream, derive_stream_id
+from .random import PURPOSE_RIP, RngStream, derive_stream_id, field_normals
 
 DELTA_FLOOR = 1e-14
 DEFAULT_BUDGET = 2_000_000
@@ -100,22 +105,37 @@ def exact_delta(Phi: QMatrix, s: int, budget: int = DEFAULT_BUDGET) -> RipReport
                      elapsed=time.perf_counter() - t0)
 
 
-def _batched_sparse_image(P1, P2, idx, z1, z2):
-    """(Phi x)_batch for batched sparse x given its complex-pair entries.
-
-    idx: (T, s) column indices; z1, z2: (T, s) complex entries of x.
-    Returns (Y1, Y2) of shape (m, T).
+def _sparse_images(rng: RngStream, Phi: QMatrix, sizes: tuple[int, ...], trials: int):
+    """Per chunk of at most 2^15 draws, one (idx, Y1, Y2) per size s in
+    sizes: idx (T, s) the support of a unit s-sparse x, from consecutive
+    slots of one random permutation per draw, so the sizes' supports are
+    disjoint, and (Y1, Y2) the complex pair of Phi x, shape (m, T). An
+    all-zero draw of entries stays zero.
     """
-    m = P1.shape[0]
-    T, s = idx.shape
-    Y1 = np.zeros((m, T), dtype=np.complex128)
-    Y2 = np.zeros((m, T), dtype=np.complex128)
-    for j in range(s):
-        cols = idx[:, j]
-        C1, C2 = _pair_product(P1[:, cols], P2[:, cols], z1[:, j], z2[:, j], np.multiply)
-        Y1 += C1
-        Y2 += C2
-    return Y1, Y2
+    m, n = Phi.shape
+    P1, P2 = _split_complex(Phi.data)
+    bounds = np.cumsum((0, *sizes))
+    done = 0
+    while done < trials:
+        T = min(trials - done, 1 << 15)
+        perm = np.argsort(rng.normals((T, n)), axis=1)
+        chunk = []
+        for lo, hi in zip(bounds, bounds[1:]):
+            idx = perm[:, lo:hi]
+            comp = field_normals(rng, idx.shape, 1.0)
+            nrm = np.sqrt(np.sum(comp * comp, axis=(1, 2), keepdims=True))
+            nrm[nrm == 0] = 1.0
+            z1, z2 = _split_complex(comp / nrm)
+            Y1 = np.zeros((m, T), dtype=np.complex128)
+            Y2 = np.zeros((m, T), dtype=np.complex128)
+            for j, cols in enumerate(idx.T):
+                C1, C2 = _pair_product(P1[:, cols], P2[:, cols], z1[:, j], z2[:, j],
+                                       np.multiply)
+                Y1 += C1
+                Y2 += C2
+            chunk.append((idx, Y1, Y2))
+        yield chunk
+        done += T
 
 
 def sampled_delta_lower_bound(Phi: QMatrix, s: int, trials: int,
@@ -133,26 +153,14 @@ def sampled_delta_lower_bound(Phi: QMatrix, s: int, trials: int,
     if rng is None:
         rng = RngStream(0, derive_stream_id(PURPOSE_RIP, Phi.shape[0], s, 0))
     t0 = time.perf_counter()
-    P1, P2 = _split_complex(Phi.data)
     best = -1.0
     best_S: tuple[int, ...] = tuple(range(s))
-    done = 0
-    while done < trials:
-        T = min(trials - done, 1 << 15)
-        # uniform s-subsets: first s slots of a random permutation per row
-        perm = np.argsort(rng.normals((T, n)), axis=1)
-        idx = perm[:, :s]
-        comp = rng.normals((T, s, 4), 0.5)
-        nrm = np.sqrt(np.sum(comp * comp, axis=(1, 2), keepdims=True))
-        nrm[nrm == 0] = 1.0
-        comp = comp / nrm
-        Y1, Y2 = _batched_sparse_image(P1, P2, idx, *_split_complex(comp))
+    for [(idx, Y1, Y2)] in _sparse_images(rng, Phi, (s,), trials):
         vals = np.abs(np.sum(np.abs(Y1) ** 2 + np.abs(Y2) ** 2, axis=0) - 1.0)
         k = int(np.argmax(vals))
         if vals[k] > best:
             best = float(vals[k])
             best_S = tuple(sorted(int(i) for i in idx[k]))
-        done += T
     return RipReport(s=s, delta=best, method=RipMethod.SAMPLED_LOWER_BOUND,
                      supports_examined=trials, argmax_support=SupportSet(best_S),
                      elapsed=time.perf_counter() - t0)
@@ -160,9 +168,9 @@ def sampled_delta_lower_bound(Phi: QMatrix, s: int, trials: int,
 
 def check_rip_ip(Phi: QMatrix, s1: int, s2: int, trials: int,
                  rng: RngStream | None = None, budget: int = DEFAULT_BUDGET) -> float:
-    """max over sampled disjoint-support pairs of
-    |<Phi x, Phi y>| / (delta_{s1+s2} ||x||_2 ||y||_2), which the
-    disjoint-support bound keeps at or below 1."""
+    """max over sampled disjoint-support pairs of unit x, y of
+    |<Phi x, Phi y>| / delta_{s1+s2}, which the disjoint-support bound
+    keeps at or below 1."""
     n = Phi.shape[1]
     if s1 < 1 or s2 < 1 or s1 + s2 > n:
         raise ValueError(f"need s1, s2 >= 1 and s1+s2 <= {n}")
@@ -175,28 +183,12 @@ def check_rip_ip(Phi: QMatrix, s1: int, s2: int, trials: int,
         warnings.warn(f"delta_{s1 + s2} = {delta:.3e} is numerically zero; "
                       "ratios are reported as 0", DegenerateDelta)
         return 0.0
-    P1, P2 = _split_complex(Phi.data)
     best = 0.0
-    done = 0
-    while done < trials:
-        T = min(trials - done, 1 << 15)
-        perm = np.argsort(rng.normals((T, n)), axis=1)
-        idx_x = perm[:, :s1]
-        idx_y = perm[:, s1:s1 + s2]
-        cx = rng.normals((T, s1, 4), 0.5)
-        cy = rng.normals((T, s2, 4), 0.5)
-        nx = np.sqrt(np.sum(cx * cx, axis=(1, 2)))
-        ny = np.sqrt(np.sum(cy * cy, axis=(1, 2)))
-        keep = (nx > 0) & (ny > 0)
-        X1, X2 = _batched_sparse_image(P1, P2, idx_x, *_split_complex(cx))
-        Y1, Y2 = _batched_sparse_image(P1, P2, idx_y, *_split_complex(cy))
+    for (_, X1, X2), (_, Y1, Y2) in _sparse_images(rng, Phi, (s1, s2), trials):
         # <Phi x, Phi y> = sum_i conj(q_i) p_i, and conj(z1 + z2*j) = conj(z1) - z2*j
         I1, I2 = _pair_product(np.conj(Y1), -Y2, X1, X2, np.multiply)
         ip = np.sqrt(np.abs(I1.sum(axis=0)) ** 2 + np.abs(I2.sum(axis=0)) ** 2)
-        denom = delta * nx * ny
-        ratios = np.where(keep, ip / np.where(keep, denom, 1.0), 0.0)
-        best = max(best, float(ratios.max()))
-        done += T
+        best = max(best, float(ip.max()) / delta)
     return best
 
 

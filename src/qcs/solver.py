@@ -112,6 +112,8 @@ class SolverParams:
             if (isinstance(v, bool) or not isinstance(v, numbers.Real)
                     or not (math.isfinite(v) and v > 0)):
                 raise ValueError(f"{name} must be a finite positive number, got {v!r}")
+            # a plain float, so that numpy numbers serialize
+            setattr(self, name, float(v))
         if (isinstance(self.max_iters, bool) or not isinstance(self.max_iters, numbers.Integral)
                 or self.max_iters < 1):
             raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")

@@ -349,6 +349,23 @@ def test_c0_reads_s_rule_from_config(capsys, tmp_path):
     assert [json.loads(line)["s"] for line in points] == [2, 1, 2, 1]
 
 
+def test_c0_echoes_the_s_values_it_ran(capsys, tmp_path):
+    # with no s list, c0 runs s = 1..min(2m, n), and the echo says so; at
+    # s = n every vector is exactly s-sparse, so those points are skipped
+    code, _, _ = run_cli(capsys, ["c0", "--n", "8", "--m", "4", "--trials", "2",
+                                  "--out", str(tmp_path / "c0")])
+    assert code == 0
+    rep = json.loads((tmp_path / "c0" / "c0_summary.json").read_text())
+    assert rep["config"]["s_rule"] == list(range(1, 9))
+    assert set(rep["max_per_s"]) == {str(s) for s in range(1, 8)}
+    assert rep["skipped"] == 2
+    # a given list is echoed as given
+    code, _, _ = run_cli(capsys, ["c0", "--n", "8", "--m", "4", "--trials", "1",
+                                  "--s", "3,1", "--out", str(tmp_path / "c0l")])
+    rep = json.loads((tmp_path / "c0l" / "c0_summary.json").read_text())
+    assert rep["config"]["s_rule"] == [3, 1]
+
+
 @pytest.mark.parametrize("argv, config", [
     (["--m", "6,8"], {}),
     ([], {"scalar_mode": "real"}),
@@ -385,6 +402,25 @@ def test_plot_command_rejects_garbage(capsys, tmp_path):
                                     "--out", str(tmp_path / "x.svg")])
     assert code == 1
     assert "error" in json.loads(err)
+
+
+@pytest.mark.parametrize("name, content", [
+    ("list.json", "[1, 2]"),
+    ("list.jsonl", "[1, 2]\n"),
+    ("cell.json", json.dumps({"kind": "sweep_summary",
+                              "cells": [{"m": 8, "trials": 1, "rate": 1.0}]})),
+    ("c0.json", json.dumps({"kind": "c0_summary", "skipped": 0})),
+])
+def test_plot_malformed_input_fails_cleanly(capsys, tmp_path, name, content):
+    bad = tmp_path / name
+    bad.write_text(content)
+    code, out, err = run_cli(capsys, ["plot", "--input", str(bad),
+                                      "--out", str(tmp_path / "x.svg")])
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "ValueError"
+    assert not (tmp_path / "x.svg").exists()
 
 
 def test_unknown_flag_exits_two(instance_files):
@@ -426,11 +462,15 @@ def test_subcommand_refuses_flags_it_does_not_read(command, flag):
     assert exc.value.code == 2
 
 
-def _readme_commands() -> list[str]:
+def _readme_blocks(lang: str = "[^\n]*") -> list[str]:
+    """The fenced code blocks of README.md whose info string matches lang."""
     readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
     with open(readme) as fh:
-        blocks = re.findall(r"^```[^\n]*\n(.*?)^```", fh.read(), re.M | re.S)
-    return [line for block in blocks for line in block.splitlines()
+        return re.findall(rf"^```{lang}\n(.*?)^```", fh.read(), re.M | re.S)
+
+
+def _readme_commands() -> list[str]:
+    return [line for block in _readme_blocks() for line in block.splitlines()
             if line.startswith("qcs ")]
 
 
@@ -442,3 +482,12 @@ def test_readme_has_cli_examples():
 @pytest.mark.parametrize("line", _readme_commands())
 def test_readme_cli_example_parses(line):
     build_parser().parse_args(shlex.split(line)[1:])
+
+
+def test_readme_python_examples_run():
+    # the blocks build on each other, so they share one namespace
+    blocks = _readme_blocks("python")
+    assert len(blocks) >= 2
+    namespace: dict = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)

@@ -82,6 +82,25 @@ def test_config_takes_numpy_numbers(tmp_path):
     assert json.loads(json.dumps(cfg.to_json_dict())) == plain.to_json_dict()
 
 
+def test_config_float32_settings_serialize(tmp_path):
+    # numpy float32 is not a float subclass; stored as given, it would tear
+    # config.json in json.dump
+    cfg = small_config(tmp_path, eta=np.float32(0.5), perfect_threshold=np.float32(1e-7),
+                       solver=SolverParams(rho=np.float32(2.0), tol_primal=np.float32(1e-9),
+                                           tol_dual=np.float32(1e-9), max_iters=3000))
+    plain = small_config(tmp_path, eta=float(np.float32(0.5)),
+                         perfect_threshold=float(np.float32(1e-7)),
+                         solver=SolverParams(rho=2.0, tol_primal=float(np.float32(1e-9)),
+                                             tol_dual=float(np.float32(1e-9)),
+                                             max_iters=3000))
+    assert json.dumps(cfg.to_json_dict(), sort_keys=True) == \
+        json.dumps(plain.to_json_dict(), sort_keys=True)
+    cfg = small_config(tmp_path, s_rule=(1,), trials=1, eta=np.float32(0.01))
+    run_sweep(cfg)
+    with open(os.path.join(cfg.out_dir, "config.json")) as fh:
+        assert json.load(fh)["eta"] == float(np.float32(0.01))
+
+
 def test_config_s_rule():
     cfg = ExperimentConfig(n=64, m_values=(8, 16), trials=1)
     assert cfg.s_values_for(8) == [1, 2, 3, 4]

@@ -63,6 +63,17 @@ def test_variance_validation():
             sample_gaussian_matrix(rng, 2, 2, bad)
 
 
+@pytest.mark.parametrize("group", [4, 1])
+def test_variance_takes_numpy_numbers(group):
+    want = sample_gaussian_matrix(RngStream(0, 0), 3, 4, 0.25, group)
+    for sigma2 in (np.float32(0.25), np.float64(0.25)):
+        got = sample_gaussian_matrix(RngStream(0, 0), 3, 4, sigma2, group)
+        assert np.array_equal(got.data, want.data)
+    for bad in (True, "0.25", np.float32(np.inf)):
+        with pytest.raises(InvalidVariance):
+            sample_gaussian_matrix(RngStream(0, 0), 3, 4, bad, group)
+
+
 def test_component_variance():
     # each of the 4 components carries sigma2 / 4
     x = sample_dense_signal(RngStream(5, 1), 50_000, 1.0)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -399,6 +400,27 @@ def test_capped_trials_converge_once_rho_settles(mode, m, s, base_seed):
     if mode == "real":
         z = oracles.lp_min_l1(problem.Phi.data[..., 0], problem.y.data[:, 0])
         assert np.linalg.norm(z - x.data[:, 0]) <= config.perfect_threshold
+
+
+# A recoverable trial that the sweep profile caps even with a settled rho:
+# the exact LP returns x, and twice the sweep's 3000 iterations reach it.
+def test_capped_recoverable_trial_converges_with_more_iterations():
+    problem, x, config = sweep_trial("real", 32, 4, 7)
+    z = oracles.lp_min_l1(problem.Phi.data[..., 0], problem.y.data[:, 0])
+    assert np.linalg.norm(z - x.data[:, 0]) <= config.perfect_threshold
+    res = solve(problem, dataclasses.replace(config.solver, max_iters=6000))
+    assert res.status is SolveStatus.CONVERGED
+    assert res.iterations > config.solver.max_iters
+    assert lp_norm(res.x_hat - x, 2) <= config.perfect_threshold
+
+
+@pytest.mark.xfail(strict=True, reason="the sweep profile caps this recoverable trial "
+                   "at 3000 iterations (err_l2 9.2e-4); ROADMAP direction 2's "
+                   "certificate would decide it without the iteration budget")
+def test_sweep_profile_recovers_capped_recoverable_trial():
+    problem, x, config = sweep_trial("real", 32, 4, 7)
+    res = solve(problem, config.solver)
+    assert lp_norm(res.x_hat - x, 2) <= config.perfect_threshold
 
 
 # Converging benchmark cells use few changes of rho (these two: 2 and 7;
