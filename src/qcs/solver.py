@@ -22,15 +22,17 @@ stops where its padded 4m x 4n form would.
 
 The splitting is consensus form between the separable term F(v, u) and
 the indicator of the graph {(v, u): A v = u}. The graph projection uses
-the explicit inverse M = (I + A A^T)^{-1}, formed once per solve over
-the rows of A, and is independent of the penalty rho, so
-residual-balancing rho updates are free. An iteration costs four
-products with A (three in the projection, one in the termination check)
-and one with M. Dual variables are stored unscaled; proximal arguments
-divide by rho where needed. Residual balancing multiplies or divides
-rho by RHO_FACTOR whenever one residual exceeds RHO_TRIGGER times the
-other, and settles after RHO_MAX_CHANGES such changes: from then on rho
-stays fixed for the rest of the solve. ADMM with a varying penalty is
+G = A A^T and the explicit inverse M = (I + G)^{-1}, both formed once
+per solve over the rows of A, and is independent of the penalty rho, so
+residual-balancing rho updates are free. The state carries A v_half and
+A lambda_v, so an iteration costs two products with the operator
+(A v_half, which the termination check reads as well, and one with A^T
+in the projection) and two over the rows (with G and with M). Dual
+variables are stored unscaled; proximal arguments divide by rho where
+needed. Residual balancing multiplies or divides rho by RHO_FACTOR
+whenever one residual exceeds RHO_TRIGGER times the other, and settles
+after RHO_MAX_CHANGES such changes: from then on rho stays fixed for
+the rest of the solve. ADMM with a varying penalty is
 only known to converge when the penalty is constant in the end (Boyd et
 al. 2011, section 3.4.1; He, Yang & Wang 2000); a schedule that never
 settles keeps throwing the iterate back out, and many trials then run
@@ -150,22 +152,28 @@ def block_soft_threshold(v: np.ndarray, kappa: float) -> np.ndarray:
 class GraphProjector:
     """Euclidean projection onto {(v, u): A v = u}.
 
-    Uses (I + A^T A)^{-1} = I - A^T M A with M = (I + A A^T)^{-1}, the
-    small inverse over the rows of A, formed once. For finite A the
-    eigenvalues of I + A A^T are at least 1, so M always exists, with
-    eigenvalues in (0, 1]. The projected u needs no product of its own: with w = M A p
-    and v = p - A^T w, A v = A p - A A^T M A p = M A p = w.
+    Uses (I + A^T A)^{-1} = I - A^T M A with M = (I + G)^{-1} and
+    G = A A^T, both over the rows of A and formed once. For finite A the
+    eigenvalues of I + G are at least 1, so M always exists, with
+    eigenvalues in (0, 1]. The projection of (c_v, c_u) is
+    v = p - A^T w with p = c_v + A^T c_u and w = M A p. Since
+    A p = A c_v + G c_u and p - A^T w = c_v + A^T (c_u - w), the caller
+    passes A c_v, and the projection does one product with A^T. The
+    projected u needs no product of its own:
+    A v = A p - G M A p = M A p = w, because I - G M = M.
     """
 
     def __init__(self, A: np.ndarray):
         self.A = np.ascontiguousarray(A)
         self.At = np.ascontiguousarray(A.T)
-        self.M = np.linalg.inv(np.eye(A.shape[0]) + self.A @ self.At)
+        self.G = self.A @ self.At
+        self.M = np.linalg.inv(np.eye(A.shape[0]) + self.G)
 
-    def project(self, cv: np.ndarray, cu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        p = cv + self.At @ cu
-        w = self.M @ (self.A @ p)
-        return p - self.At @ w, w
+    def project(self, cv: np.ndarray, Acv: np.ndarray,
+                cu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(v, u) for the point (cv, cu), given Acv = A cv."""
+        w = self.M @ (Acv + self.G @ cu)
+        return cv + self.At @ (cu - w), w
 
 
 @dataclass
@@ -181,6 +189,10 @@ class AdmmState:
     u_proj: np.ndarray
     lam_v: np.ndarray
     lam_u: np.ndarray
+    # A v_half, formed once per iteration and read by residuals, and
+    # A lam_v, updated without a product
+    A_v_half: np.ndarray
+    A_lam_v: np.ndarray
     iteration: int = 0
     # squared step of the projected iterate (v_proj, u_proj) in the last
     # iteration; the dual residual is rho times its root
@@ -199,7 +211,8 @@ def init_admm_state(projector: GraphProjector, b: np.ndarray, eta: float,
                      eta=float(eta), rho=float(rho),
                      v_half=z_v.copy(), u_half=z_u.copy(),
                      v_proj=z_v.copy(), u_proj=z_u.copy(),
-                     lam_v=z_v.copy(), lam_u=z_u.copy())
+                     lam_v=z_v.copy(), lam_u=z_u.copy(),
+                     A_v_half=z_u.copy(), A_lam_v=z_u.copy())
 
 
 def _project_data_set(r: np.ndarray, b: np.ndarray, eta: float) -> np.ndarray:
@@ -215,19 +228,27 @@ def _project_data_set(r: np.ndarray, b: np.ndarray, eta: float) -> np.ndarray:
 
 def admm_step(state: AdmmState) -> AdmmState:
     rho = state.rho
-    v_arg = (state.v_proj - state.lam_v / rho).reshape(-1, state.group)
+    sv = state.lam_v / rho
+    su = state.lam_u / rho
+    v_arg = (state.v_proj - sv).reshape(-1, state.group)
     v_half = block_soft_threshold(v_arg, 1.0 / rho).reshape(-1)
-    u_half = _project_data_set(state.u_proj - state.lam_u / rho, state.b, state.eta)
+    u_half = _project_data_set(state.u_proj - su, state.b, state.eta)
 
-    v_proj, u_proj = state.projector.project(v_half + state.lam_v / rho,
-                                             u_half + state.lam_u / rho)
+    A_v_half = state.projector.A @ v_half
+    v_proj, u_proj = state.projector.project(v_half + sv, A_v_half + state.A_lam_v / rho,
+                                             u_half + su)
 
     state.step_sq = (float(np.sum((v_proj - state.v_proj) ** 2))
                      + float(np.sum((u_proj - state.u_proj) ** 2)))
-    state.v_half, state.u_half = v_half, u_half
+    state.v_half, state.u_half, state.A_v_half = v_half, u_half, A_v_half
     state.v_proj, state.u_proj = v_proj, u_proj
     state.lam_v = state.lam_v + rho * (v_half - v_proj)
     state.lam_u = state.lam_u + rho * (u_half - u_proj)
+    # A v_proj = u_proj, so A lam_v follows lam_v without a product. An
+    # error e in the carried value moves A v_proj to u_proj - e / rho,
+    # and the update of lam_v takes e up: the carried value stays one
+    # step's rounding from A @ lam_v instead of drifting over the solve.
+    state.A_lam_v = state.A_lam_v + rho * (A_v_half - u_proj)
     state.iteration += 1
     return state
 
@@ -239,9 +260,10 @@ def residuals(state: AdmmState) -> tuple[float, float, float, float]:
     Dual: rho times the step of the projected iterate.
     Scales for the relative tolerances: max(||A v_half||, ||u_half||) on
     the primal side, the scaled-dual norm ||lambda|| / rho on the dual
-    side. A v_half is formed once and serves both primal terms.
+    side. A v_half is the product admm_step formed for the projection;
+    no product with A is done here.
     """
-    Av = state.projector.A @ state.v_half
+    Av = state.A_v_half
     primal = float(np.linalg.norm(Av - state.u_half))
     dual = state.rho * math.sqrt(state.step_sq)
     primal_scale = max(float(np.linalg.norm(Av)), float(np.linalg.norm(state.u_half)))

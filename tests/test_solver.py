@@ -144,9 +144,27 @@ def test_projection_u_equals_a_v(np_rng, m4, n4):
     for A in (np_rng.standard_normal((m4, n4)) / math.sqrt(m4), np.zeros((m4, n4))):
         proj = GraphProjector(A)
         for _ in range(3):
-            v, u = proj.project(np_rng.standard_normal(n4),
-                                np_rng.standard_normal(m4))
+            cv = np_rng.standard_normal(n4)
+            v, u = proj.project(cv, A @ cv, np_rng.standard_normal(m4))
             assert np.linalg.norm(u - A @ v) <= 1e-12 * (1.0 + np.linalg.norm(u))
+
+
+# g = 1 shapes (m x n real part) and g = 4 shapes (4m x 4n embedding)
+@pytest.mark.parametrize("rows, cols", [(1, 3), (3, 8), (4, 12), (12, 40)])
+def test_projection_matches_dense_solve(np_rng, rows, cols):
+    # the projection of (cv, cu) onto A v = u is v = (I + A^T A)^{-1}
+    # (cv + A^T cu), u = A v; project computes it through G = A A^T and
+    # M = (I + G)^{-1} from A cv
+    for A in (np_rng.standard_normal((rows, cols)) / math.sqrt(rows),
+              np.zeros((rows, cols))):
+        proj = GraphProjector(A)
+        for _ in range(3):
+            cv = np_rng.standard_normal(cols)
+            cu = np_rng.standard_normal(rows)
+            v, u = proj.project(cv, A @ cv, cu)
+            v_ref = np.linalg.solve(np.eye(cols) + A.T @ A, cv + A.T @ cu)
+            assert np.linalg.norm(v - v_ref) <= 1e-12 * (1.0 + np.linalg.norm(v_ref))
+            assert np.linalg.norm(u - A @ v_ref) <= 1e-12 * (1.0 + np.linalg.norm(v_ref))
 
 
 # ---------------------------------------------------------------------------
@@ -439,6 +457,27 @@ def test_converged_trials_do_not_reach_the_bound(monkeypatch, mode, m, s, base_s
     for name in ("iterations", "primal_residual", "dual_residual", "objective",
                  "polished", "status", "rho", "rho_changes"):
         assert getattr(bounded, name) == getattr(unbounded, name)
+
+
+# The state carries A v_half and A lam_v instead of forming them; over a
+# capped solve (R (32, 4) at base seed 7, 3000 iterations) and a long
+# converging one (H (4, 1) at base seed 0, about 2560 iterations) the
+# carried products must stay at rounding distance from the direct ones.
+@pytest.mark.parametrize("mode, m, s, base_seed",
+                         [("real", 32, 4, 7), ("quaternion", 4, 1, 0)])
+def test_carried_products_do_not_drift(monkeypatch, mode, m, s, base_seed):
+    problem, _, config = sweep_trial(mode, m, s, base_seed)
+    states = []
+    init = solver.init_admm_state
+    monkeypatch.setattr(solver, "init_admm_state",
+                        lambda *args: states.append(init(*args)) or states[-1])
+    res = solve(problem, config.solver)
+    assert res.iterations > 2500
+    state, = states
+    A = state.projector.A
+    for carried, direct in ((state.A_lam_v, A @ state.lam_v),
+                            (state.A_v_half, A @ state.v_half)):
+        assert np.linalg.norm(carried - direct) <= 1e-13 * np.linalg.norm(direct)
 
 
 def test_rho_stops_changing_at_the_bound():
