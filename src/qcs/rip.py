@@ -97,9 +97,6 @@ def exact_delta(Phi: QMatrix, s: int, budget: int = DEFAULT_BUDGET) -> RipReport
     t0 = time.perf_counter()
     chi = _gram_residual_adjoint(Phi)
     delta, best_S, count = _enumerate_delta(chi, n, s)
-    if __debug__ and n <= 8 and s >= 2:
-        smaller, _, _ = _enumerate_delta(chi, n, s - 1)
-        assert smaller <= delta + 1e-12, "size-(s-1) supports must be dominated"
     return RipReport(s=s, delta=delta, method=RipMethod.EXACT_ENUMERATION,
                      supports_examined=count, argmax_support=SupportSet(best_S),
                      elapsed=time.perf_counter() - t0)

@@ -22,22 +22,21 @@ stops where its padded 4m x 4n form would.
 
 The splitting is consensus form between the separable term F(v, u) and
 the indicator of the graph {(v, u): A v = u}. The graph projection uses
-G = A A^T and the explicit inverse M = (I + G)^{-1}, both formed once
-per solve over the rows of A, and is independent of the penalty rho, so
-residual-balancing rho updates are free. The state carries A v_half and
-A lambda_v, so an iteration costs two products with the operator
-(A v_half, which the termination check reads as well, and one with A^T
-in the projection) and two over the rows (with G and with M). Dual
+the explicit inverse M = (I + A A^T)^{-1}, formed once per solve over
+the rows of A, and is independent of the penalty rho, so
+residual-balancing rho updates are free. An iteration costs two products
+with the operator (A v_half, which the termination check reads as well,
+and one with A^T in the projection) and one over the rows (with M). Dual
 variables are stored unscaled; proximal arguments divide by rho where
 needed. Residual balancing multiplies or divides rho by RHO_FACTOR
 whenever one residual exceeds RHO_TRIGGER times the other, and settles
-after RHO_MAX_CHANGES such changes: from then on rho stays fixed for
-the rest of the solve. ADMM with a varying penalty is
-only known to converge when the penalty is constant in the end (Boyd et
-al. 2011, section 3.4.1; He, Yang & Wang 2000); a schedule that never
-settles keeps throwing the iterate back out, and many trials then run
-to max_iters. solve does no I/O; a caller that wants per-iteration
-diagnostics passes on_iteration.
+after RHO_MAX_CHANGES such changes: from then on rho stays fixed for the
+rest of the solve. ADMM with a varying penalty is only known to converge
+when the penalty is constant in the end (Boyd et al. 2011, section
+3.4.1; He, Yang & Wang 2000); a schedule that never settles keeps
+throwing the iterate back out, and many trials then run to max_iters.
+solve does no I/O; a caller that wants per-iteration diagnostics passes
+on_iteration.
 """
 
 from __future__ import annotations
@@ -92,8 +91,11 @@ class RecoveryProblem:
         m, n = self.Phi.shape
         if len(self.y) != m:
             raise ValueError(f"y has length {len(self.y)}, Phi has {m} rows")
-        if not (math.isfinite(self.eta) and self.eta >= 0):
-            raise ValueError(f"eta must be finite and >= 0, got {self.eta}")
+        if (isinstance(self.eta, bool) or not isinstance(self.eta, numbers.Real)
+                or not (math.isfinite(self.eta) and self.eta >= 0)):
+            raise ValueError(f"eta must be a finite number >= 0, got {self.eta!r}")
+        # a plain float, so that numpy numbers serialize
+        object.__setattr__(self, "eta", float(self.eta))
         for name, data in (("Phi", self.Phi.data), ("y", self.y.data)):
             if not np.isfinite(data).all():
                 raise NonFiniteInput(f"{name} holds NaN or Inf entries")
@@ -152,28 +154,24 @@ def block_soft_threshold(v: np.ndarray, kappa: float) -> np.ndarray:
 class GraphProjector:
     """Euclidean projection onto {(v, u): A v = u}.
 
-    Uses (I + A^T A)^{-1} = I - A^T M A with M = (I + G)^{-1} and
-    G = A A^T, both over the rows of A and formed once. For finite A the
-    eigenvalues of I + G are at least 1, so M always exists, with
-    eigenvalues in (0, 1]. The projection of (c_v, c_u) is
-    v = p - A^T w with p = c_v + A^T c_u and w = M A p. Since
-    A p = A c_v + G c_u and p - A^T w = c_v + A^T (c_u - w), the caller
-    passes A c_v, and the projection does one product with A^T. The
-    projected u needs no product of its own:
-    A v = A p - G M A p = M A p = w, because I - G M = M.
+    The projection of (c_v, c_u) is
+    (v, u) = (c_v - A^T t, c_u + t) with t = M (A c_v - c_u) and
+    M = (I + A A^T)^{-1}, formed once over the rows of A: t is the
+    multiplier of A v = u, and A v = u is A c_v - A A^T t = c_u + t. For
+    finite A the eigenvalues of I + A A^T are at least 1, so M always
+    exists, with eigenvalues in (0, 1]. The caller passes A c_v, so the
+    projection does one product with A^T.
     """
 
     def __init__(self, A: np.ndarray):
         self.A = np.ascontiguousarray(A)
-        self.At = np.ascontiguousarray(A.T)
-        self.G = self.A @ self.At
-        self.M = np.linalg.inv(np.eye(A.shape[0]) + self.G)
+        self.M = np.linalg.inv(np.eye(A.shape[0]) + self.A @ self.A.T)
 
     def project(self, cv: np.ndarray, Acv: np.ndarray,
                 cu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(v, u) for the point (cv, cu), given Acv = A cv."""
-        w = self.M @ (Acv + self.G @ cu)
-        return cv + self.At @ (cu - w), w
+        t = self.M @ (Acv - cu)
+        return cv - self.A.T @ t, cu + t
 
 
 @dataclass
@@ -189,10 +187,8 @@ class AdmmState:
     u_proj: np.ndarray
     lam_v: np.ndarray
     lam_u: np.ndarray
-    # A v_half, formed once per iteration and read by residuals, and
-    # A lam_v, updated without a product
+    # A v_half, formed once per iteration and read by residuals
     A_v_half: np.ndarray
-    A_lam_v: np.ndarray
     iteration: int = 0
     # squared step of the projected iterate (v_proj, u_proj) in the last
     # iteration; the dual residual is rho times its root
@@ -209,34 +205,32 @@ def init_admm_state(projector: GraphProjector, b: np.ndarray, eta: float,
     return AdmmState(projector=projector, group=group,
                      b=np.asarray(b, dtype=np.float64),
                      eta=float(eta), rho=float(rho),
-                     v_half=z_v.copy(), u_half=z_u.copy(),
-                     v_proj=z_v.copy(), u_proj=z_u.copy(),
-                     lam_v=z_v.copy(), lam_u=z_u.copy(),
-                     A_v_half=z_u.copy(), A_lam_v=z_u.copy())
+                     v_half=z_v, u_half=z_u, v_proj=z_v, u_proj=z_u,
+                     lam_v=z_v, lam_u=z_u, A_v_half=z_u)
 
 
 def _project_data_set(r: np.ndarray, b: np.ndarray, eta: float) -> np.ndarray:
     """Projection onto C: the point {b} when eta = 0, else the ball B(b, eta)."""
     if eta == 0:
-        return b.copy()
+        return b
     d = r - b
     nd = float(np.linalg.norm(d))
     if nd <= eta:
-        return r.copy()
+        return r
     return b + d * (eta / nd)
 
 
 def admm_step(state: AdmmState) -> AdmmState:
     rho = state.rho
-    sv = state.lam_v / rho
-    su = state.lam_u / rho
-    v_arg = (state.v_proj - sv).reshape(-1, state.group)
+    v_arg = (state.v_proj - state.lam_v / rho).reshape(-1, state.group)
     v_half = block_soft_threshold(v_arg, 1.0 / rho).reshape(-1)
-    u_half = _project_data_set(state.u_proj - su, state.b, state.eta)
+    u_half = _project_data_set(state.u_proj - state.lam_u / rho, state.b, state.eta)
 
     A_v_half = state.projector.A @ v_half
-    v_proj, u_proj = state.projector.project(v_half + sv, A_v_half + state.A_lam_v / rho,
-                                             u_half + su)
+    # The scaled dual lam / rho is a sum of projection residuals, so it
+    # stays orthogonal to the graph (lam_v = -A^T lam_u), and the
+    # projection of (v_half, u_half) + lam / rho is that of (v_half, u_half).
+    v_proj, u_proj = state.projector.project(v_half, A_v_half, u_half)
 
     state.step_sq = (float(np.sum((v_proj - state.v_proj) ** 2))
                      + float(np.sum((u_proj - state.u_proj) ** 2)))
@@ -244,11 +238,6 @@ def admm_step(state: AdmmState) -> AdmmState:
     state.v_proj, state.u_proj = v_proj, u_proj
     state.lam_v = state.lam_v + rho * (v_half - v_proj)
     state.lam_u = state.lam_u + rho * (u_half - u_proj)
-    # A v_proj = u_proj, so A lam_v follows lam_v without a product. An
-    # error e in the carried value moves A v_proj to u_proj - e / rho,
-    # and the update of lam_v takes e up: the carried value stays one
-    # step's rounding from A @ lam_v instead of drifting over the solve.
-    state.A_lam_v = state.A_lam_v + rho * (A_v_half - u_proj)
     state.iteration += 1
     return state
 

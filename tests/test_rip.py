@@ -71,10 +71,16 @@ def test_exact_delta_report_fields():
 
 
 def test_exact_delta_monotone_in_s():
-    Phi = rip_instance(1, m=4, n=6)
-    ds = [exact_delta(Phi, s).delta for s in (1, 2, 3)]
-    assert ds[0] <= ds[1] + 1e-12
-    assert ds[1] <= ds[2] + 1e-12
+    # every size-(s-1) support lies in a size-s one, and the Gram
+    # submatrix's eigenvalues interlace: delta_{s-1} <= delta_s. Quaternion
+    # and real matrices, n <= 8, every s.
+    for group, m, n, k in ((4, 4, 6, 1), (4, 3, 8, 2), (4, 5, 7, 3), (1, 4, 8, 4),
+                           (1, 6, 5, 5)):
+        rng = RngStream(0, derive_stream_id(PURPOSE_RIP, m, 2, k))
+        Phi = sample_gaussian_matrix(rng, m, n, 1.0 / m, group)
+        ds = [exact_delta(Phi, s).delta for s in range(1, n + 1)]
+        for smaller, larger in zip(ds, ds[1:]):
+            assert smaller <= larger + 1e-12
 
 
 def test_exact_delta_argument_checks():

@@ -114,10 +114,12 @@ def test_problem_validation():
     RecoveryProblem(Phi=Phi, y=y, eta=0.0)
     with pytest.raises(ValueError):
         RecoveryProblem(Phi=Phi, y=QVector.zeros(5), eta=0.0)
-    with pytest.raises(ValueError):
-        RecoveryProblem(Phi=Phi, y=y, eta=-0.1)
-    with pytest.raises(ValueError):
-        RecoveryProblem(Phi=Phi, y=y, eta=math.nan)
+    for eta in (-0.1, math.nan, math.inf, True, "0.1", None, np.float64(-1.0)):
+        with pytest.raises(ValueError):
+            RecoveryProblem(Phi=Phi, y=y, eta=eta)
+    for eta in (np.float64(0.25), np.float32(0.5), 0):
+        stored = RecoveryProblem(Phi=Phi, y=y, eta=eta).eta
+        assert type(stored) is float and stored == eta
 
 
 def test_problem_rejects_non_finite_entries():
@@ -153,8 +155,9 @@ def test_projection_u_equals_a_v(np_rng, m4, n4):
 @pytest.mark.parametrize("rows, cols", [(1, 3), (3, 8), (4, 12), (12, 40)])
 def test_projection_matches_dense_solve(np_rng, rows, cols):
     # the projection of (cv, cu) onto A v = u is v = (I + A^T A)^{-1}
-    # (cv + A^T cu), u = A v; project computes it through G = A A^T and
-    # M = (I + G)^{-1} from A cv
+    # (cv + A^T cu), u = A v; project computes it through
+    # M = (I + A A^T)^{-1} from A cv. A shift (-A^T mu, mu) is orthogonal
+    # to the graph and leaves the projection where it was.
     for A in (np_rng.standard_normal((rows, cols)) / math.sqrt(rows),
               np.zeros((rows, cols))):
         proj = GraphProjector(A)
@@ -165,6 +168,11 @@ def test_projection_matches_dense_solve(np_rng, rows, cols):
             v_ref = np.linalg.solve(np.eye(cols) + A.T @ A, cv + A.T @ cu)
             assert np.linalg.norm(v - v_ref) <= 1e-12 * (1.0 + np.linalg.norm(v_ref))
             assert np.linalg.norm(u - A @ v_ref) <= 1e-12 * (1.0 + np.linalg.norm(v_ref))
+            mu = np_rng.standard_normal(rows)
+            cv_mu = cv - A.T @ mu
+            v_mu, u_mu = proj.project(cv_mu, A @ cv_mu, cu + mu)
+            assert np.linalg.norm(v_mu - v) <= 1e-12 * (1.0 + np.linalg.norm(v))
+            assert np.linalg.norm(u_mu - u) <= 1e-12 * (1.0 + np.linalg.norm(u))
 
 
 # ---------------------------------------------------------------------------
@@ -459,10 +467,11 @@ def test_converged_trials_do_not_reach_the_bound(monkeypatch, mode, m, s, base_s
         assert getattr(bounded, name) == getattr(unbounded, name)
 
 
-# The state carries A v_half and A lam_v instead of forming them; over a
-# capped solve (R (32, 4) at base seed 7, 3000 iterations) and a long
-# converging one (H (4, 1) at base seed 0, about 2560 iterations) the
-# carried products must stay at rounding distance from the direct ones.
+# The state carries A v_half for the termination check, and the
+# projection leaves out the dual because it stays orthogonal to the graph
+# (lam_v = -A^T lam_u). Over a capped solve (R (32, 4) at base seed 7,
+# 3000 iterations) and a long converging one (H (4, 1) at base seed 0,
+# about 2560 iterations) both must hold to rounding.
 @pytest.mark.parametrize("mode, m, s, base_seed",
                          [("real", 32, 4, 7), ("quaternion", 4, 1, 0)])
 def test_carried_products_do_not_drift(monkeypatch, mode, m, s, base_seed):
@@ -475,9 +484,10 @@ def test_carried_products_do_not_drift(monkeypatch, mode, m, s, base_seed):
     assert res.iterations > 2500
     state, = states
     A = state.projector.A
-    for carried, direct in ((state.A_lam_v, A @ state.lam_v),
-                            (state.A_v_half, A @ state.v_half)):
-        assert np.linalg.norm(carried - direct) <= 1e-13 * np.linalg.norm(direct)
+    direct = A @ state.v_half
+    assert np.linalg.norm(state.A_v_half - direct) <= 1e-13 * np.linalg.norm(direct)
+    assert (np.linalg.norm(state.lam_v + A.T @ state.lam_u)
+            <= 1e-12 * np.linalg.norm(state.lam_v))
 
 
 def test_rho_stops_changing_at_the_bound():
