@@ -1,4 +1,8 @@
-"""Shared exception types for the qcs package."""
+"""Shared exception types for the qcs package, and check_number, the one
+test every number a caller passes in goes through."""
+
+import math
+import numbers
 
 
 class QcsError(Exception):
@@ -58,3 +62,23 @@ class DegenerateDelta(UserWarning):
 
 class IoFailure(QcsError):
     """A plot or record file could not be produced."""
+
+
+def check_number(value, name: str, kind: type = float, low=-math.inf, high=math.inf,
+                 low_open: bool = False, error: type[Exception] = ValueError):
+    """value as a plain int (kind int) or float (kind float), so that numpy
+    numbers serialize. Raises error unless value is a number of that kind,
+    not a bool, finite, and in [low, high], or (low, high] when low_open."""
+    what = "an integer" if kind is int else "a number"
+    if (isinstance(value, bool)
+            or not isinstance(value, numbers.Integral if kind is int else numbers.Real)):
+        raise error(f"{name} must be {what}, got {value!r}")
+    try:
+        plain = kind(value)
+    except OverflowError:  # an integer past the float range
+        plain = math.inf
+    if not ((kind is int or math.isfinite(plain)) and plain <= high
+            and (low < plain if low_open else low <= plain)):
+        raise error(f"{name} must be {what} in {'(' if low_open else '['}{low}, {high}], "
+                    f"got {value!r}")
+    return plain

@@ -11,8 +11,8 @@ Persistence layout under ExperimentConfig.out_dir:
 Determinism: every random draw comes from a stream derived as
 (base_seed, purpose, m, s, trial), so results do not depend on worker
 count or scheduling. Records within a cell are written sorted by trial
-index; wall times are measured but serialized as null unless
-record_timings is set, keeping output files byte-identical across runs.
+index, and they hold no timings, so output files are byte-identical
+across runs.
 """
 
 from __future__ import annotations
@@ -20,20 +20,19 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import numbers
 import os
-import time
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import random as qrandom
-from .errors import IoFailure, QcsError
+from .errors import IoFailure, QcsError, check_number
 from .qlinalg import (QVector, _pair_product, _split_complex, best_s_sparse, lp_norm,
                       matvec)
 from .solver import RecoveryProblem, SolverParams, solve
 
-SCHEMA_VERSION = 1
+# raised when a record or config.json field is removed or changes meaning
+SCHEMA_VERSION = 2
 
 
 def sweep_solver_params() -> SolverParams:
@@ -44,37 +43,6 @@ def sweep_solver_params() -> SolverParams:
     but capped at an iteration count that keeps failing cells cheap.
     """
     return SolverParams(max_iters=3000, tol_primal=1e-9, tol_dual=1e-9)
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
-
-
-def _is_int_list(v) -> bool:
-    return isinstance(v, (list, tuple)) and all(map(_is_int, v))
-
-
-def _is_real(v) -> bool:
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
-
-
-# the type each ExperimentConfig field takes, by field name: a new field
-# needs an entry here. numpy numbers pass; bools pass only as bool.
-# SolverParams checks its own fields.
-_CONFIG_TYPES = {
-    "n": ("an integer", _is_int),
-    "m_values": ("a list of integers", _is_int_list),
-    "s_rule": ("\"1..m/2\" or a list of integers",
-               lambda v: isinstance(v, str) or _is_int_list(v)),
-    "trials": ("an integer", _is_int),
-    "base_seed": ("an integer", _is_int),
-    "scalar_mode": ("a string", lambda v: isinstance(v, str)),
-    "perfect_threshold": ("a number", _is_real),
-    "eta": ("a number", _is_real),
-    "solver": ("a solver object", lambda v: isinstance(v, SolverParams)),
-    "out_dir": ("a string", lambda v: isinstance(v, str)),
-    "record_timings": ("true or false", lambda v: isinstance(v, bool)),
-}
 
 
 def _check_object(d, cls, where: str) -> None:
@@ -98,42 +66,33 @@ class ExperimentConfig:
     eta: float = 0.0
     solver: SolverParams = field(default_factory=sweep_solver_params)
     out_dir: str = "qcs_results"
-    record_timings: bool = False
 
     def __post_init__(self):
-        for f in fields(self):
-            what, ok = _CONFIG_TYPES[f.name]
-            if not ok(getattr(self, f.name)):
-                raise ValueError(f"config key {f.name} must be {what}, "
-                                 f"got {getattr(self, f.name)!r}")
-        # plain ints and floats, so that numpy numbers serialize
-        for name in ("n", "trials", "base_seed"):
-            object.__setattr__(self, name, int(getattr(self, name)))
-        for name in ("eta", "perfect_threshold"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        object.__setattr__(self, "m_values", tuple(int(m) for m in self.m_values))
+        def put(name, value):
+            object.__setattr__(self, name, value)
+
+        put("n", check_number(self.n, "n", int, 1))
+        put("trials", check_number(self.trials, "trials", int, 1))
+        put("base_seed", check_number(self.base_seed, "base_seed", int, 0, 2 ** 64 - 1))
+        put("eta", check_number(self.eta, "eta", low=0.0))
+        put("perfect_threshold", check_number(self.perfect_threshold, "perfect_threshold",
+                                              low=0.0, low_open=True))
+        if not isinstance(self.m_values, (list, tuple)) or not self.m_values:
+            raise ValueError(f"m_values must be a non-empty list of integers, "
+                             f"got {self.m_values!r}")
+        put("m_values", tuple(check_number(m, "m_values", int, 1) for m in self.m_values))
         if isinstance(self.s_rule, (list, tuple)):
-            object.__setattr__(self, "s_rule", tuple(int(s) for s in self.s_rule))
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if not self.m_values or any(m < 1 for m in self.m_values):
-            raise ValueError(f"bad m_values {self.m_values}")
+            put("s_rule", tuple(check_number(s, "s_rule", int, 1) for s in self.s_rule))
+        elif self.s_rule != "1..m/2":
+            raise ValueError(f"s_rule must be \"1..m/2\" or a list of integers, "
+                             f"got {self.s_rule!r}")
+        for name, cls in (("scalar_mode", str), ("out_dir", str), ("solver", SolverParams)):
+            if not isinstance(getattr(self, name), cls):
+                raise ValueError(f"config key {name} must be a {cls.__name__}, "
+                                 f"got {getattr(self, name)!r}")
         if self.scalar_mode not in qrandom.GROUP_SIZES:
             raise ValueError(f"scalar_mode must be {'|'.join(qrandom.GROUP_SIZES)}, got "
                              f"{self.scalar_mode!r}")
-        if not (math.isfinite(self.eta) and self.eta >= 0):
-            raise ValueError(f"eta must be finite and >= 0, got {self.eta}")
-        if not (math.isfinite(self.perfect_threshold) and self.perfect_threshold > 0):
-            raise ValueError(f"perfect_threshold must be finite and positive, "
-                             f"got {self.perfect_threshold}")
-        if isinstance(self.s_rule, str) and self.s_rule != "1..m/2":
-            raise ValueError(f"unknown s_rule {self.s_rule!r}")
-        if isinstance(self.s_rule, tuple) and any(s < 1 for s in self.s_rule):
-            raise ValueError(f"bad sparsity list {self.s_rule}")
-        if not 0 <= self.base_seed < 2 ** 64:
-            raise ValueError(f"base_seed {self.base_seed} outside [0, 2^64)")
         # every trial's stream id must fit the layout qcs.random packs
         qrandom.derive_stream_id(0, max(self.m_values), 0, self.trials - 1)
         for m, s in self.cells():
@@ -182,18 +141,17 @@ class TrialRecord:
     perfect: bool
     status: str
     iterations: int
-    wall_time: float | None
 
-    def to_json_dict(self, record_timings: bool) -> dict:
+    def to_json_dict(self) -> dict:
         d = asdict(self)
         d["err_l1"] = self.err_l1 if math.isfinite(self.err_l1) else None
         d["err_l2"] = self.err_l2 if math.isfinite(self.err_l2) else None
-        if not record_timings:
-            d["wall_time"] = None
         return d
 
     @classmethod
     def from_json_dict(cls, d: dict) -> TrialRecord:
+        # a record of an older schema holds a removed field, refused by name
+        _check_object(d, cls, "record")
         d = dict(d)
         d["err_l1"] = math.inf if d["err_l1"] is None else d["err_l1"]
         d["err_l2"] = math.inf if d["err_l2"] is None else d["err_l2"]
@@ -248,7 +206,6 @@ def _sample_problem(config: ExperimentConfig, m: int, s: int, trial: int):
 
 
 def run_single_trial(config: ExperimentConfig, m: int, s: int, trial: int) -> TrialRecord:
-    t0 = time.perf_counter()
     try:
         Phi, x, y = _sample_problem(config, m, s, trial)
         result = solve(RecoveryProblem(Phi, y, config.eta), config.solver)
@@ -263,8 +220,7 @@ def run_single_trial(config: ExperimentConfig, m: int, s: int, trial: int) -> Tr
     return TrialRecord(m=m, s=s, trial_index=trial, seed=config.base_seed,
                        err_l1=err_l1, err_l2=err_l2,
                        perfect=err_l2 <= config.perfect_threshold,
-                       status=status, iterations=iterations,
-                       wall_time=time.perf_counter() - t0)
+                       status=status, iterations=iterations)
 
 
 def worker_count() -> int:
@@ -341,8 +297,7 @@ def run_sweep(config: ExperimentConfig, verbose: bool = False) -> PhaseDiagram:
                            if (m, s, t) not in done]
                 # starmap keeps the order of pending, which is by trial index
                 for rec in starmap(run_single_trial, pending):
-                    sink.write(json.dumps(rec.to_json_dict(config.record_timings),
-                                          sort_keys=True) + "\n")
+                    sink.write(json.dumps(rec.to_json_dict(), sort_keys=True) + "\n")
                     done[(m, s, rec.trial_index)] = rec
                 sink.flush()
                 perfect = sum(done[(m, s, t)].perfect for t in range(config.trials))
@@ -391,9 +346,9 @@ def run_c0_experiment(config: ExperimentConfig, verbose: bool = False) -> Scatte
     fixed m x n matrix; each solve yields a lower bound on the l1 error
     constant per s via ||x# - x||_1 / ||x - x_s||_1, for s in a
     config.s_rule list, else 1..min(2m, n)."""
-    # noiseless quaternion solves with no verdicts or timings: a config that
+    # noiseless quaternion solves with no verdicts: a config that
     # moves these settings asks for what c0 does not do
-    for name in ("scalar_mode", "eta", "perfect_threshold", "record_timings"):
+    for name in ("scalar_mode", "eta", "perfect_threshold"):
         default = getattr(ExperimentConfig, name)
         if getattr(config, name) != default:
             raise ValueError(f"c0 does not read {name}, so it must stay {default!r}; "
@@ -456,10 +411,8 @@ def run_ratio_test(m: int, samples: int, base_seed: int = 0,
     its variance, so the law is Gamma(g*m/2, rate g*m/2) with variance
     2/(g*m): four times larger for R (g = 1) than for H (g = 4).
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if samples < 1000:
-        raise ValueError("samples must be >= 1000")
+    m = check_number(m, "m", int, 1)
+    samples = check_number(samples, "samples", int, 1000)
     if mode not in qrandom.GROUP_SIZES:
         raise ValueError(f"mode must be {'|'.join(qrandom.GROUP_SIZES)}, got {mode!r}")
     # scipy.stats takes most of a second to import and only the KS

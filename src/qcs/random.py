@@ -20,11 +20,10 @@ with purpose < 2^8, m < 2^16, s < 2^16, trial < 2^24.
 from __future__ import annotations
 
 import math
-import numbers
 
 import numpy as np
 
-from .errors import InvalidVariance, SparsityOutOfRange
+from .errors import InvalidVariance, SparsityOutOfRange, check_number
 from .qlinalg import QMatrix, QVector, SupportSet
 from .quaternion import Quaternion
 
@@ -35,7 +34,8 @@ PURPOSE_RATIO = 4
 PURPOSE_DENSE = 5
 PURPOSE_RIP = 6
 
-_MAX_SEED = 2 ** 64
+# the largest seed or stream id
+_MAX_SEED = 2 ** 64 - 1
 
 # g, the real components per entry, of each scalar mode's field
 GROUP_SIZES = {"quaternion": 4, "real": 1}
@@ -45,15 +45,9 @@ class RngStream:
     """One independent Philox stream. Draws advance the stream state."""
 
     def __init__(self, seed: int, stream_id: int = 0):
-        seed = int(seed)
-        stream_id = int(stream_id)
-        if not 0 <= seed < _MAX_SEED:
-            raise ValueError(f"seed {seed} outside [0, 2^64)")
-        if not 0 <= stream_id < _MAX_SEED:
-            raise ValueError(f"stream_id {stream_id} outside [0, 2^64)")
-        self.seed = seed
-        self.stream_id = stream_id
-        ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream_id,))
+        self.seed = check_number(seed, "seed", int, 0, _MAX_SEED)
+        self.stream_id = check_number(stream_id, "stream_id", int, 0, _MAX_SEED)
+        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
         self._gen = np.random.Generator(np.random.Philox(ss))
 
     def child(self, stream_id: int) -> RngStream:
@@ -88,13 +82,6 @@ def trial_stream(base_seed: int, purpose: int, m: int = 0, s: int = 0,
     return RngStream(base_seed, derive_stream_id(purpose, m, s, trial))
 
 
-def _check_variance(sigma2: float) -> None:
-    # numpy numbers pass; a bool does not
-    if (isinstance(sigma2, bool) or not isinstance(sigma2, numbers.Real)
-            or not (math.isfinite(sigma2) and sigma2 > 0)):
-        raise InvalidVariance(f"sigma2 must be finite and positive, got {sigma2!r}")
-
-
 def _check_group(group: int) -> None:
     if group not in GROUP_SIZES.values():
         raise ValueError(f"group size {group!r} is not in {sorted(GROUP_SIZES.values())}")
@@ -109,7 +96,7 @@ def field_normals(rng: RngStream, shape: tuple[int, ...], sigma2: float,
                   group: int = 4) -> np.ndarray:
     """The g real components of i.i.d. entries of variance sigma2, by the
     module rule: an array of shape + (g,), each N(0, sigma2/g)."""
-    _check_variance(sigma2)
+    sigma2 = check_number(sigma2, "sigma2", low=0.0, low_open=True, error=InvalidVariance)
     _check_group(group)
     return rng.normals((*shape, group), math.sqrt(sigma2 / group))
 
@@ -166,8 +153,7 @@ def sample_sphere_noise(rng: RngStream, m: int, radius: float,
     makes noise-bound experiments sharp: eta is the realized norm, not
     just a cap.
     """
-    if radius < 0:
-        raise ValueError(f"radius must be nonnegative, got {radius}")
+    radius = check_number(radius, "radius", low=0.0)
     _check_group(group)
     if radius == 0 or m == 0:
         return QVector.zeros(m)

@@ -27,7 +27,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import BudgetExceeded, ConditionViolated, DegenerateDelta
+from .errors import BudgetExceeded, ConditionViolated, DegenerateDelta, check_number
 from .qlinalg import (QMatrix, SupportSet, _pair_product, _split_complex, adjoint,
                       complex_adjoint, matmul)
 from .random import PURPOSE_RIP, RngStream, derive_stream_id, field_normals
@@ -89,8 +89,7 @@ def _enumerate_delta(chi: np.ndarray, n: int, s: int) -> tuple[float, tuple[int,
 def exact_delta(Phi: QMatrix, s: int, budget: int = DEFAULT_BUDGET) -> RipReport:
     """delta_s by brute force over all C(n, s) supports of size exactly s."""
     n = Phi.shape[1]
-    if not 1 <= s <= n:
-        raise ValueError(f"s={s} outside [1, {n}]")
+    s = check_number(s, "s", int, 1, n)
     required = math.comb(n, s)
     if required > budget:
         raise BudgetExceeded(required, budget)
@@ -142,11 +141,8 @@ def sampled_delta_lower_bound(Phi: QMatrix, s: int, trials: int,
     A lower bound on delta_s by definition, approaching it from below as
     trials grow.
     """
-    n = Phi.shape[1]
-    if not 1 <= s <= n:
-        raise ValueError(f"s={s} outside [1, {n}]")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    s = check_number(s, "s", int, 1, Phi.shape[1])
+    trials = check_number(trials, "trials", int, 1)
     if rng is None:
         rng = RngStream(0, derive_stream_id(PURPOSE_RIP, Phi.shape[0], s, 0))
     t0 = time.perf_counter()
@@ -168,11 +164,9 @@ def check_rip_ip(Phi: QMatrix, s1: int, s2: int, trials: int,
     """max over sampled disjoint-support pairs of unit x, y of
     |<Phi x, Phi y>| / delta_{s1+s2}, which the disjoint-support bound
     keeps at or below 1."""
-    n = Phi.shape[1]
-    if s1 < 1 or s2 < 1 or s1 + s2 > n:
-        raise ValueError(f"need s1, s2 >= 1 and s1+s2 <= {n}")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    s1 = check_number(s1, "s1", int, 1, Phi.shape[1] - 1)
+    s2 = check_number(s2, "s2", int, 1, Phi.shape[1] - s1)
+    trials = check_number(trials, "trials", int, 1)
     if rng is None:
         rng = RngStream(0, derive_stream_id(PURPOSE_RIP, Phi.shape[0], s1 + s2, 1))
     delta = exact_delta(Phi, s1 + s2, budget=budget).delta
@@ -192,8 +186,7 @@ def check_rip_ip(Phi: QMatrix, s1: int, s2: int, trials: int,
 def error_constants(delta2s: float) -> ErrorBoundConstants:
     """C0 = 2(1 + (sqrt2 - 1) d) / (1 - (sqrt2 + 1) d),
     C1 = 4 sqrt(1 + d) / (1 - (sqrt2 + 1) d); requires d < sqrt2 - 1."""
-    if not (math.isfinite(delta2s) and delta2s >= 0):
-        raise ValueError(f"delta2s must be finite and >= 0, got {delta2s}")
+    delta2s = check_number(delta2s, "delta2s", low=0.0)
     if delta2s >= SQRT2 - 1:
         raise ConditionViolated(
             f"delta2s = {delta2s} >= sqrt(2) - 1 = {SQRT2 - 1}; "

@@ -43,14 +43,13 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
 from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .embedding import build_embedding, unvec4
-from .errors import NonFiniteInput
+from .errors import NonFiniteInput, check_number
 from .qlinalg import QMatrix, QVector, lp_norm
 
 RHO_MIN = 1e-10
@@ -91,11 +90,7 @@ class RecoveryProblem:
         m, n = self.Phi.shape
         if len(self.y) != m:
             raise ValueError(f"y has length {len(self.y)}, Phi has {m} rows")
-        if (isinstance(self.eta, bool) or not isinstance(self.eta, numbers.Real)
-                or not (math.isfinite(self.eta) and self.eta >= 0)):
-            raise ValueError(f"eta must be a finite number >= 0, got {self.eta!r}")
-        # a plain float, so that numpy numbers serialize
-        object.__setattr__(self, "eta", float(self.eta))
+        object.__setattr__(self, "eta", check_number(self.eta, "eta", low=0.0))
         for name, data in (("Phi", self.Phi.data), ("y", self.y.data)):
             if not np.isfinite(data).all():
                 raise NonFiniteInput(f"{name} holds NaN or Inf entries")
@@ -110,18 +105,10 @@ class SolverParams:
     polish: bool = True
 
     def __post_init__(self):
-        # numpy numbers pass; a bool is taken only as polish
         for name in ("rho", "tol_primal", "tol_dual"):
-            v = getattr(self, name)
-            if (isinstance(v, bool) or not isinstance(v, numbers.Real)
-                    or not (math.isfinite(v) and v > 0)):
-                raise ValueError(f"{name} must be a finite positive number, got {v!r}")
-            # a plain float, so that numpy numbers serialize
-            setattr(self, name, float(v))
-        if (isinstance(self.max_iters, bool) or not isinstance(self.max_iters, numbers.Integral)
-                or self.max_iters < 1):
-            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
-        self.max_iters = int(self.max_iters)
+            setattr(self, name, check_number(getattr(self, name), name,
+                                             low=0.0, low_open=True))
+        self.max_iters = check_number(self.max_iters, "max_iters", int, 1)
         if not isinstance(self.polish, bool):
             raise ValueError(f"polish must be true or false, got {self.polish!r}")
 
@@ -209,10 +196,8 @@ def init_admm_state(projector: GraphProjector, b: np.ndarray, eta: float,
                      lam_v=z_v, lam_u=z_u, A_v_half=z_u)
 
 
-def _project_data_set(r: np.ndarray, b: np.ndarray, eta: float) -> np.ndarray:
-    """Projection onto C: the point {b} when eta = 0, else the ball B(b, eta)."""
-    if eta == 0:
-        return b
+def _project_ball(r: np.ndarray, b: np.ndarray, eta: float) -> np.ndarray:
+    """Projection onto the ball B(b, eta)."""
     d = r - b
     nd = float(np.linalg.norm(d))
     if nd <= eta:
@@ -224,7 +209,9 @@ def admm_step(state: AdmmState) -> AdmmState:
     rho = state.rho
     v_arg = (state.v_proj - state.lam_v / rho).reshape(-1, state.group)
     v_half = block_soft_threshold(v_arg, 1.0 / rho).reshape(-1)
-    u_half = _project_data_set(state.u_proj - state.lam_u / rho, state.b, state.eta)
+    # the projection onto C, which is the point b itself when eta = 0
+    u_half = state.b if state.eta == 0 else _project_ball(
+        state.u_proj - state.lam_u / rho, state.b, state.eta)
 
     A_v_half = state.projector.A @ v_half
     # The scaled dual lam / rho is a sum of projection residuals, so it

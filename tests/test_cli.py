@@ -289,6 +289,29 @@ def test_sweep_with_an_s_no_m_runs_fails_cleanly(capsys, tmp_path, flags):
     assert not (tmp_path / "o").exists()
 
 
+def test_sweep_refuses_a_schema_1_directory_cleanly(capsys, tmp_path):
+    # schema 1 wrote record_timings into config.json and wall_time into
+    # every record; neither the directory nor its records are read as is
+    out_dir = tmp_path / "o"
+    argv = ["sweep", "--n", "12", "--m", "6", "--s", "1", "--trials", "2",
+            "--out", str(out_dir)]
+    assert run_cli(capsys, argv)[0] == 0
+    config = json.loads((out_dir / "config.json").read_text())
+    records = (out_dir / "records.jsonl").read_text().splitlines()
+    (out_dir / "config.json").write_text(json.dumps({**config, "record_timings": False}))
+    (out_dir / "records.jsonl").write_text(
+        json.dumps({**json.loads(records[0]), "wall_time": None}) + "\n")
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out, len(err.splitlines())) == (1, "", 1)
+    assert json.loads(err)["error"] == "ValueError"
+    # with the config key gone, the record's own key is named
+    (out_dir / "config.json").write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "ValueError",
+                               "message": "unknown record key(s): wall_time"}
+
+
 def test_c0_takes_s_above_half_m(capsys, tmp_path):
     # c0 bounds the error constant at any s, not only the sweep's s <= m/2
     code, out, _ = run_cli(capsys, ["c0", "--n", "16", "--m", "8", "--s", "6",

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -52,7 +54,7 @@ def test_config_validation(tmp_path):
                    dict(n=16.0), dict(n="16"), dict(trials=True), dict(trials=2.5),
                    dict(base_seed=None), dict(m_values=(8.7,)), dict(m_values=8),
                    dict(s_rule=(1.9,)), dict(eta="0"), dict(perfect_threshold=True),
-                   dict(record_timings=1), dict(out_dir=None), dict(scalar_mode=0),
+                   dict(out_dir=None), dict(scalar_mode=0),
                    dict(solver={"max_iters": 5})):
         with pytest.raises(ValueError):
             small_config(tmp_path, **kwargs)
@@ -101,6 +103,32 @@ def test_config_float32_settings_serialize(tmp_path):
         assert json.load(fh)["eta"] == float(np.float32(0.01))
 
 
+@pytest.mark.parametrize("cls", [ExperimentConfig, SolverParams])
+def test_every_numeric_field_is_checked(tmp_path, cls):
+    # a field typed int or float, or a tuple of them, that no check reads
+    # would take a bool or a string here, or keep a numpy scalar
+    make = (lambda **kw: small_config(tmp_path, **kw)) if cls is ExperimentConfig else cls
+    numeric = [f for f in fields(cls) if re.search(r"\b(int|float)\b", f.type)]
+    assert numeric
+    for f in numeric:
+        is_float = "float" in f.type
+        listed = "tuple" in f.type
+        good = getattr(make(), f.name)
+        good = good[0] if listed else good
+
+        def put(v):
+            return make(**{f.name: (v,) if listed else v})
+
+        bad_values = [True, False, "1"] + ([math.nan] if is_float else [2.5])
+        for bad in bad_values:
+            with pytest.raises(ValueError):
+                put(bad)
+        stored = getattr(put((np.float32 if is_float else np.int64)(good)), f.name)
+        stored = stored[0] if listed else stored
+        assert type(stored) is (float if is_float else int), f.name
+        assert stored == (float(np.float32(good)) if is_float else good), f.name
+
+
 def test_config_s_rule():
     cfg = ExperimentConfig(n=64, m_values=(8, 16), trials=1)
     assert cfg.s_values_for(8) == [1, 2, 3, 4]
@@ -112,7 +140,7 @@ def test_config_s_rule():
 
 
 def test_config_json_roundtrip(tmp_path):
-    cfg = small_config(tmp_path, record_timings=True)
+    cfg = small_config(tmp_path)
     back = ExperimentConfig.from_json_dict(json.loads(json.dumps(cfg.to_json_dict())))
     assert back == cfg
 
@@ -120,14 +148,11 @@ def test_config_json_roundtrip(tmp_path):
 def test_trial_record_serialization():
     rec = TrialRecord(m=8, s=2, trial_index=3, seed=0, err_l1=math.inf,
                       err_l2=math.inf, perfect=False, status="error:QcsError",
-                      iterations=0, wall_time=1.5)
-    d = rec.to_json_dict(record_timings=False)
+                      iterations=0)
+    d = rec.to_json_dict()
     assert d["err_l1"] is None and d["err_l2"] is None
-    assert d["wall_time"] is None
     back = TrialRecord.from_json_dict({**d})
     assert back.err_l1 == math.inf and back.err_l2 == math.inf
-    timed = rec.to_json_dict(record_timings=True)
-    assert timed["wall_time"] == 1.5
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +218,7 @@ def test_sweep_resumes_partial_records(tmp_path):
     with open(os.path.join(resumed_dir, "records.jsonl"), "w") as fh:
         for t in (0, 1):
             rec = run_single_trial(cfg_r, 8, 1, t)
-            fh.write(json.dumps(rec.to_json_dict(False), sort_keys=True) + "\n")
+            fh.write(json.dumps(rec.to_json_dict(), sort_keys=True) + "\n")
     resumed = run_sweep(cfg_r)
     assert resumed.rates == full.rates
     got = sorted(open(os.path.join(resumed_dir, "records.jsonl")).read().splitlines())
@@ -357,6 +382,12 @@ def test_ratio_test_validation():
         run_ratio_test(0, 1000)
     with pytest.raises(ValueError):
         run_ratio_test(16, 1000, mode="octonion")
+
+
+@pytest.mark.parametrize("m, samples", [(8.5, 1000), (True, 1000), (8, 1000.0), (8, "1000")])
+def test_ratio_test_refuses_counts_that_are_not_integers(m, samples):
+    with pytest.raises(ValueError):
+        run_ratio_test(m, samples)
 
 
 # ---------------------------------------------------------------------------

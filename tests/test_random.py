@@ -42,6 +42,19 @@ def test_stream_validation():
     assert s.child(9).stream_id == 9 and s.child(9).seed == 7
 
 
+@pytest.mark.parametrize("seed, stream_id", [(2.5, 0), (True, 0), ("3", 0), (0, 2.5),
+                                             (0, False), (np.float64(2.0), 0)])
+def test_stream_refuses_ids_that_are_not_integers(seed, stream_id):
+    with pytest.raises(ValueError):
+        RngStream(seed, stream_id)
+
+
+def test_stream_takes_numpy_integers():
+    s = RngStream(np.uint64(2 ** 64 - 1), np.int32(3))
+    assert type(s.seed) is int and type(s.stream_id) is int
+    assert np.array_equal(s.normals(4), RngStream(2 ** 64 - 1, 3).normals(4))
+
+
 def test_replay_determinism():
     a = trial_stream(11, PURPOSE_MATRIX, 4, 2, 0).normals((3, 4))
     b = trial_stream(11, PURPOSE_MATRIX, 4, 2, 0).normals((3, 4))
@@ -211,6 +224,12 @@ def test_sphere_noise_radius():
     assert lp_norm(z, 2) == 0.0
     with pytest.raises(ValueError):
         sample_sphere_noise(RngStream(12, 2), 7, -0.1)
+
+
+@pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf, True, "0.5", None])
+def test_sphere_noise_refuses_a_radius_that_is_not_a_finite_number(radius):
+    with pytest.raises(ValueError):
+        sample_sphere_noise(RngStream(12, 2), 7, radius)
 
 
 @pytest.mark.parametrize("m, radius", [(1, 0.5), (7, 0.01), (30, 2.0)])

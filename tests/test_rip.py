@@ -90,6 +90,12 @@ def test_exact_delta_argument_checks():
             exact_delta(Phi, bad)
 
 
+@pytest.mark.parametrize("s", [2.0, True, "2", np.float64(2.0)])
+def test_exact_delta_refuses_s_that_is_not_an_integer(s):
+    with pytest.raises(ValueError):
+        exact_delta(rip_instance(2), s)
+
+
 def test_budget_exceeded():
     Phi = sample_gaussian_matrix(RngStream(1, 0), 4, 30, 0.25)
     with pytest.raises(BudgetExceeded) as exc:
@@ -149,6 +155,15 @@ def test_sampled_argument_checks():
         sampled_delta_lower_bound(Phi, 0, 10)
     with pytest.raises(ValueError):
         sampled_delta_lower_bound(Phi, 2, 0)
+
+
+@pytest.mark.parametrize("trials", [True, 2.5, "10", np.float64(10.0)])
+def test_sampled_tools_refuse_trials_that_are_not_an_integer(trials):
+    Phi = rip_instance(8)
+    with pytest.raises(ValueError):
+        sampled_delta_lower_bound(Phi, 2, trials)
+    with pytest.raises(ValueError):
+        check_rip_ip(Phi, 1, 1, trials)
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +273,12 @@ def test_error_constants_condition_violated():
         error_constants(math.nan)
 
 
+@pytest.mark.parametrize("delta2s", [False, "0.1", None, math.inf])
+def test_error_constants_refuses_a_delta_that_is_not_a_finite_number(delta2s):
+    with pytest.raises(ValueError):
+        error_constants(delta2s)
+
+
 # ---------------------------------------------------------------------------
 # cross-checks against independent oracles
 
@@ -278,3 +299,4 @@ def test_near_isometry_construction_qualifies():
     assert raw <= 1.0 + 1e-12
     scaled = Phi.scale(math.sqrt(2.0 / (2.0 - raw)))
     assert exact_delta(scaled, 2).delta < SQRT2M1
+
