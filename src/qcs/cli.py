@@ -57,21 +57,6 @@ def build_config(args) -> harness.ExperimentConfig:
     return harness.ExperimentConfig.from_json_dict(base)
 
 
-def _solver_params_from_args(args) -> SolverParams:
-    kw = {}
-    if args.rho is not None:
-        kw["rho"] = args.rho
-    if args.max_iters is not None:
-        kw["max_iters"] = args.max_iters
-    if args.tol_primal is not None:
-        kw["tol_primal"] = args.tol_primal
-    if args.tol_dual is not None:
-        kw["tol_dual"] = args.tol_dual
-    if args.no_polish:
-        kw["polish"] = False
-    return SolverParams(**kw)
-
-
 def cmd_sweep(args) -> int:
     config = build_config(args)
     diagram = harness.run_sweep(config, verbose=True)
@@ -95,7 +80,7 @@ def _load(path, cls, flag: str):
 def cmd_recover(args) -> int:
     Phi = _load(args.phi, qlinalg.QMatrix, "--phi")
     y = _load(args.y, qlinalg.QVector, "--y")
-    params = _solver_params_from_args(args)
+    params = SolverParams(max_iters=args.max_iters, tol=args.tol)
     problem = RecoveryProblem(Phi, y, args.eta)
     if args.trace is None:
         result = solve(problem, params)
@@ -247,11 +232,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y", required=True, help="measurement vector JSON")
     p.add_argument("--eta", type=float, default=0.0, help="noise bound")
     p.add_argument("--truth", help="ground-truth signal JSON for error reporting")
-    p.add_argument("--rho", type=float, default=None)
-    p.add_argument("--max-iters", type=int, default=None)
-    p.add_argument("--tol-primal", type=float, default=None)
-    p.add_argument("--tol-dual", type=float, default=None)
-    p.add_argument("--no-polish", action="store_true")
+    p.add_argument("--max-iters", type=int, default=SolverParams.max_iters)
+    p.add_argument("--tol", type=float, default=SolverParams.tol,
+                   help="relative tolerance of the primal and dual residuals")
     p.add_argument("--trace", help="stream per-iteration diagnostics to this CSV")
     p.add_argument("--out", help="write the recovered signal to this JSON file")
 

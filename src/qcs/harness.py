@@ -32,7 +32,7 @@ from .qlinalg import (QVector, _pair_product, _split_complex, best_s_sparse, lp_
 from .solver import RecoveryProblem, SolverParams, solve
 
 # raised when a record or config.json field is removed or changes meaning
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 def sweep_solver_params() -> SolverParams:
@@ -42,7 +42,7 @@ def sweep_solver_params() -> SolverParams:
     polish lands well below it once the iterate is accurate to ~1e-9),
     but capped at an iteration count that keeps failing cells cheap.
     """
-    return SolverParams(max_iters=3000, tol_primal=1e-9, tol_dual=1e-9)
+    return SolverParams(max_iters=3000, tol=1e-9)
 
 
 def _check_object(d, cls, where: str) -> None:
@@ -150,8 +150,12 @@ class TrialRecord:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> TrialRecord:
-        # a record of an older schema holds a removed field, refused by name
+        # a record of an older schema holds a removed field, refused by name,
+        # and a truncated one lacks fields, also refused by name
         _check_object(d, cls, "record")
+        missing = sorted({f.name for f in fields(cls)} - set(d))
+        if missing:
+            raise ValueError(f"missing record key(s): {', '.join(missing)}")
         d = dict(d)
         d["err_l1"] = math.inf if d["err_l1"] is None else d["err_l1"]
         d["err_l2"] = math.inf if d["err_l2"] is None else d["err_l2"]
@@ -264,8 +268,10 @@ def run_sweep(config: ExperimentConfig, verbose: bool = False) -> PhaseDiagram:
                 f"{config_path} holds a different config; refusing to mix sweeps")
         snapshot = existing
     else:
-        with open(config_path, "w") as fh:
+        # a crash mid-write leaves the temporary file, never a torn config.json
+        with open(config_path + ".tmp", "w") as fh:
             json.dump(snapshot, fh, sort_keys=True, indent=1)
+        os.replace(config_path + ".tmp", config_path)
 
     records_path = os.path.join(config.out_dir, "records.jsonl")
     done: dict[tuple[int, int, int], TrialRecord] = {}

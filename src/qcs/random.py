@@ -66,14 +66,10 @@ class RngStream:
 
 def derive_stream_id(purpose: int, m: int = 0, s: int = 0, trial: int = 0) -> int:
     """Pack a trial coordinate into a 64-bit stream id (layout in module doc)."""
-    if not 0 <= purpose < 2 ** 8:
-        raise ValueError(f"purpose {purpose} needs 8 bits")
-    if not 0 <= m < 2 ** 16:
-        raise ValueError(f"m {m} needs 16 bits")
-    if not 0 <= s < 2 ** 16:
-        raise ValueError(f"s {s} needs 16 bits")
-    if not 0 <= trial < 2 ** 24:
-        raise ValueError(f"trial {trial} needs 24 bits")
+    purpose = check_number(purpose, "purpose", int, 0, 2 ** 8 - 1)
+    m = check_number(m, "m", int, 0, 2 ** 16 - 1)
+    s = check_number(s, "s", int, 0, 2 ** 16 - 1)
+    trial = check_number(trial, "trial", int, 0, 2 ** 24 - 1)
     return purpose << 56 | m << 40 | s << 24 | trial
 
 
@@ -110,15 +106,15 @@ def sample_gaussian_matrix(rng: RngStream, m: int, n: int, sigma2: float,
                            group: int = 4) -> QMatrix:
     """m x n of i.i.d. entries of variance sigma2 in the field of group size
     g; sigma2 = 1/m normalizes columns."""
-    if m < 1 or n < 1:
-        raise ValueError(f"matrix shape ({m}, {n}) must be positive")
+    m = check_number(m, "m", int, 1)
+    n = check_number(n, "n", int, 1)
     return QMatrix(_pad(field_normals(rng, (m, n), sigma2, group)))
 
 
 def sample_support(rng: RngStream, n: int, s: int) -> SupportSet:
     """Uniform s-subset of [0, n) by partial Fisher-Yates."""
-    if not 0 <= s <= n:
-        raise SparsityOutOfRange(f"s={s} outside [0, {n}]")
+    n = check_number(n, "n", int, 0)
+    s = check_number(s, "s", int, 0, n, error=SparsityOutOfRange)
     pool = list(range(n))
     for i in range(s):
         j = i + rng.integer_below(n - i)
@@ -140,6 +136,7 @@ def sample_dense_signal(rng: RngStream, n: int, sigma2: float = 1.0,
                         group: int = 4) -> QVector:
     """Dense vector of i.i.d. entries of variance sigma2 in the field of
     group size g (no sparsity)."""
+    n = check_number(n, "n", int, 0)
     return QVector(_pad(field_normals(rng, (n,), sigma2, group)))
 
 
@@ -153,6 +150,7 @@ def sample_sphere_noise(rng: RngStream, m: int, radius: float,
     makes noise-bound experiments sharp: eta is the realized norm, not
     just a cap.
     """
+    m = check_number(m, "m", int, 0)
     radius = check_number(radius, "radius", low=0.0)
     _check_group(group)
     if radius == 0 or m == 0:

@@ -16,9 +16,13 @@ real slots is one coordinate. solve picks the group size from the data:
 - g = 4 otherwise. A is the 4m x 4n compact embedding and b = vec4(y),
   so a group is the four components of a quaternion coordinate.
 
-The absolute terms of the stopping rule use the dimensions in H,
-sqrt(4m) and sqrt(4(m + n)), for either group size, so a real problem
-stops where its padded 4m x 4n form would.
+SolverParams holds the two settings callers vary: max_iters and tol, the
+relative tolerance of both residuals. The absolute terms of the stopping
+rule use the dimensions in H, sqrt(4m) and sqrt(4(m + n)), for either
+group size, so a real problem stops where its padded 4m x 4n form would.
+After the loop, every solve that is not certified infeasible polishes
+the support (least squares on it, kept when it is feasible and no worse
+in objective).
 
 The splitting is consensus form between the separable term F(v, u) and
 the indicator of the graph {(v, u): A v = u}. The graph projection uses
@@ -28,10 +32,11 @@ residual-balancing rho updates are free. An iteration costs two products
 with the operator (A v_half, which the termination check reads as well,
 and one with A^T in the projection) and one over the rows (with M). Dual
 variables are stored unscaled; proximal arguments divide by rho where
-needed. Residual balancing multiplies or divides rho by RHO_FACTOR
-whenever one residual exceeds RHO_TRIGGER times the other, and settles
-after RHO_MAX_CHANGES such changes: from then on rho stays fixed for the
-rest of the solve. ADMM with a varying penalty is only known to converge
+needed. rho starts at RHO_INIT, on which the minimizer does not depend.
+Residual balancing multiplies or divides rho by RHO_FACTOR whenever one
+residual exceeds RHO_TRIGGER times the other, and settles after
+RHO_MAX_CHANGES such changes: from then on rho stays fixed for the rest
+of the solve. ADMM with a varying penalty is only known to converge
 when the penalty is constant in the end (Boyd et al. 2011, section
 3.4.1; He, Yang & Wang 2000); a schedule that never settles keeps
 throwing the iterate back out, and many trials then run to max_iters.
@@ -52,8 +57,7 @@ from .embedding import build_embedding, unvec4
 from .errors import NonFiniteInput, check_number
 from .qlinalg import QMatrix, QVector, lp_norm
 
-RHO_MIN = 1e-10
-RHO_MAX = 1e10
+RHO_INIT = 1.0
 RHO_FACTOR = 2.0
 RHO_TRIGGER = 10.0
 # Residual balancing stops after this many changes of rho. Measured in
@@ -98,19 +102,13 @@ class RecoveryProblem:
 
 @dataclass
 class SolverParams:
-    rho: float = 1.0
     max_iters: int = 50000
-    tol_primal: float = 1e-10
-    tol_dual: float = 1e-10
-    polish: bool = True
+    # relative tolerance of both the primal and the dual residual
+    tol: float = 1e-10
 
     def __post_init__(self):
-        for name in ("rho", "tol_primal", "tol_dual"):
-            setattr(self, name, check_number(getattr(self, name), name,
-                                             low=0.0, low_open=True))
         self.max_iters = check_number(self.max_iters, "max_iters", int, 1)
-        if not isinstance(self.polish, bool):
-            raise ValueError(f"polish must be true or false, got {self.polish!r}")
+        self.tol = check_number(self.tol, "tol", low=0.0, low_open=True)
 
 
 @dataclass
@@ -281,7 +279,7 @@ def _polish_candidate(A: np.ndarray, b: np.ndarray, eta: float, v_half: np.ndarr
 def solve(problem: RecoveryProblem, params: SolverParams | None = None,
           on_iteration: Callable[[int, float, float, float, float], None] | None = None,
           ) -> SolveResult:
-    """ADMM to the tolerances or max_iters, then the infeasibility check
+    """ADMM to the tolerance or max_iters, then the infeasibility check
     and the support polish.
 
     on_iteration, when given, is called after every iteration with
@@ -298,7 +296,7 @@ def solve(problem: RecoveryProblem, params: SolverParams | None = None,
     norm_b = float(np.linalg.norm(b))
 
     projector = GraphProjector(A)
-    state = init_admm_state(projector, b, problem.eta, params.rho, group)
+    state = init_admm_state(projector, b, problem.eta, RHO_INIT, group)
 
     converged = False
     r_pri = r_dual = math.inf
@@ -309,18 +307,18 @@ def solve(problem: RecoveryProblem, params: SolverParams | None = None,
         if on_iteration is not None:
             on_iteration(state.iteration, r_pri, r_dual,
                          _group_l1(state.v_half, group), state.rho)
-        eps_pri = params.tol_primal * (root_pri + max(s_pri, norm_b))
-        eps_dual = params.tol_dual * (root_dual + s_dual)
+        eps_pri = params.tol * (root_pri + max(s_pri, norm_b))
+        eps_dual = params.tol * (root_dual + s_dual)
         if r_pri <= eps_pri and r_dual <= eps_dual:
             converged = True
             break
         if rho_changes == RHO_MAX_CHANGES:
             continue  # the schedule has settled
         if r_pri > RHO_TRIGGER * r_dual:
-            state.rho = min(state.rho * RHO_FACTOR, RHO_MAX)
+            state.rho *= RHO_FACTOR
             rho_changes += 1
         elif r_dual > RHO_TRIGGER * r_pri:
-            state.rho = max(state.rho / RHO_FACTOR, RHO_MIN)
+            state.rho /= RHO_FACTOR
             rho_changes += 1
 
     if converged:
@@ -334,7 +332,7 @@ def solve(problem: RecoveryProblem, params: SolverParams | None = None,
 
     x_flat = state.v_half
     polished = False
-    if params.polish and status is not SolveStatus.INFEASIBLE:
+    if status is not SolveStatus.INFEASIBLE:
         cand = _polish_candidate(A, b, problem.eta, state.v_half, POLISH_THRESHOLD,
                                  group)
         if cand is not None:

@@ -127,9 +127,7 @@ def test_recover_rejects_non_finite_input(capsys, instance_files, tmp_path,
     pytest.param(["recover", "--phi", "PHI", "--y", "PHI"], id="y-is-qmatrix"),
     pytest.param(["recover", "--phi", "PHI", "--y", "Y", "--truth", "PHI"],
                  id="truth-is-qmatrix"),
-    pytest.param(["recover", "--phi", "PHI", "--y", "Y", "--rho", "nan"], id="rho-nan"),
-    pytest.param(["recover", "--phi", "PHI", "--y", "Y", "--tol-primal", "inf"],
-                 id="tol-inf"),
+    pytest.param(["recover", "--phi", "PHI", "--y", "Y", "--tol", "inf"], id="tol-inf"),
     pytest.param(["rip", "--phi", "Y", "--s", "2"], id="rip-phi-is-qvector"),
     pytest.param(["ratio", "--m", ","], id="ratio-no-m"),
     pytest.param(["ratio", "--m", "8,16", "--samples", "1000"], id="ratio-two-m"),
@@ -312,6 +310,43 @@ def test_sweep_refuses_a_schema_1_directory_cleanly(capsys, tmp_path):
                                "message": "unknown record key(s): wall_time"}
 
 
+def test_sweep_refuses_a_schema_2_directory_cleanly(capsys, tmp_path):
+    # schema 2 held five solver keys; the sweep profile's values of them
+    # migrate to the one "tol" key
+    out_dir = tmp_path / "o"
+    argv = ["sweep", "--n", "12", "--m", "6", "--s", "1", "--trials", "2",
+            "--out", str(out_dir)]
+    assert run_cli(capsys, argv)[0] == 0
+    config = json.loads((out_dir / "config.json").read_text())
+    records = (out_dir / "records.jsonl").read_bytes()
+    assert config["solver"] == {"max_iters": 3000, "tol": 1e-9}
+    old = {"rho": 1.0, "max_iters": 3000, "tol_primal": 1e-9, "tol_dual": 1e-9,
+           "polish": True}
+    (out_dir / "config.json").write_text(json.dumps({**config, "solver": old}))
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out, len(err.splitlines())) == (1, "", 1)
+    assert json.loads(err)["error"] == "ValueError"
+    (out_dir / "config.json").write_text(json.dumps(config))
+    assert run_cli(capsys, argv)[0] == 0
+    assert (out_dir / "records.jsonl").read_bytes() == records
+
+
+@pytest.mark.parametrize("key", ["err_l1", "iterations"])
+def test_sweep_refuses_a_truncated_record_cleanly(capsys, tmp_path, key):
+    out_dir = tmp_path / "o"
+    argv = ["sweep", "--n", "12", "--m", "6", "--s", "1", "--trials", "2",
+            "--out", str(out_dir)]
+    assert run_cli(capsys, argv)[0] == 0
+    first, *rest = (out_dir / "records.jsonl").read_text().splitlines(keepends=True)
+    record = json.loads(first)
+    del record[key]
+    (out_dir / "records.jsonl").write_text(json.dumps(record) + "\n" + "".join(rest))
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out, len(err.splitlines())) == (1, "", 1)
+    assert json.loads(err) == {"error": "ValueError",
+                               "message": f"missing record key(s): {key}"}
+
+
 def test_c0_takes_s_above_half_m(capsys, tmp_path):
     # c0 bounds the error constant at any s, not only the sweep's s <= m/2
     code, out, _ = run_cli(capsys, ["c0", "--n", "16", "--m", "8", "--s", "6",
@@ -465,14 +500,16 @@ _BASE_ARGV = {"recover": ["--phi", "p.json", "--y", "y.json"],
               "ratio": ["--m", "8"],
               "c0": [],
               "plot": ["--input", "summary.json", "--out", "x.svg"]}
-_UNREAD = {"recover": "--config --n --m --s --trials --seed --mode",
+# recover's --rho, --tol-primal, --tol-dual and --no-polish set what is now fixed
+_UNREAD = {"recover": "--config --n --m --s --trials --seed --mode "
+                      "--rho --tol-primal --tol-dual --no-polish",
            "rip": "--config --n --m --trials --seed --eta --mode --out",
            "ratio": "--config --n --s --trials --eta",
            "c0": "--eta --mode",
            "plot": "--config --n --m --s --trials --seed --eta --mode"}
 _VALUES = {"--config": "cfg.json", "--n": "8", "--m": "8", "--s": "2",
            "--trials": "2", "--seed": "1", "--eta": "0.5", "--mode": "real",
-           "--out": "o"}
+           "--out": "o", "--rho": "2", "--tol-primal": "1e-9", "--tol-dual": "1e-9"}
 
 
 @pytest.mark.parametrize("command, flag", [(c, f) for c, flags in _UNREAD.items()
@@ -481,7 +518,8 @@ def test_subcommand_refuses_flags_it_does_not_read(command, flag):
     parser = build_parser()
     parser.parse_args([command, *_BASE_ARGV[command]])
     with pytest.raises(SystemExit) as exc:
-        parser.parse_args([command, *_BASE_ARGV[command], flag, _VALUES[flag]])
+        parser.parse_args([command, *_BASE_ARGV[command], flag,
+                           *([_VALUES[flag]] if flag in _VALUES else [])])
     assert exc.value.code == 2
 
 

@@ -88,13 +88,10 @@ def test_config_float32_settings_serialize(tmp_path):
     # numpy float32 is not a float subclass; stored as given, it would tear
     # config.json in json.dump
     cfg = small_config(tmp_path, eta=np.float32(0.5), perfect_threshold=np.float32(1e-7),
-                       solver=SolverParams(rho=np.float32(2.0), tol_primal=np.float32(1e-9),
-                                           tol_dual=np.float32(1e-9), max_iters=3000))
+                       solver=SolverParams(tol=np.float32(1e-9), max_iters=3000))
     plain = small_config(tmp_path, eta=float(np.float32(0.5)),
                          perfect_threshold=float(np.float32(1e-7)),
-                         solver=SolverParams(rho=2.0, tol_primal=float(np.float32(1e-9)),
-                                             tol_dual=float(np.float32(1e-9)),
-                                             max_iters=3000))
+                         solver=SolverParams(tol=float(np.float32(1e-9)), max_iters=3000))
     assert json.dumps(cfg.to_json_dict(), sort_keys=True) == \
         json.dumps(plain.to_json_dict(), sort_keys=True)
     cfg = small_config(tmp_path, s_rule=(1,), trials=1, eta=np.float32(0.01))
@@ -248,6 +245,30 @@ def test_sweep_resume_drops_torn_last_record(tmp_path):
         assert fh.read() == full_records
     assert (open(os.path.join(torn_dir, "summary.json")).read()
             == summary.replace(cfg.out_dir, torn_dir))
+
+
+def test_sweep_survives_a_crash_while_writing_config(tmp_path, monkeypatch):
+    cfg = small_config(tmp_path, s_rule=(1,), trials=2)
+    run_sweep(cfg)
+    clean = {name: open(os.path.join(cfg.out_dir, name), "rb").read()
+             for name in ("records.jsonl", "summary.json")}
+    for name in os.listdir(cfg.out_dir):
+        os.remove(os.path.join(cfg.out_dir, name))
+
+    real_dump = json.dump
+
+    def torn_dump(obj, fh, **kw):
+        # the first write stops halfway; later writes go through
+        monkeypatch.setattr(json, "dump", real_dump)
+        fh.write(json.dumps(obj, **kw)[:20])
+        raise OSError("disk went away")
+
+    monkeypatch.setattr(json, "dump", torn_dump)
+    with pytest.raises(OSError):
+        run_sweep(cfg)
+    run_sweep(cfg)
+    for name, data in clean.items():
+        assert open(os.path.join(cfg.out_dir, name), "rb").read() == data
 
 
 def test_sweep_resume_ignores_out_dir_spelling(tmp_path):

@@ -28,7 +28,8 @@ def test_stream_id_packing():
     # field boundaries
     derive_stream_id(255, 65535, 65535, 2**24 - 1)
     for bad in [dict(purpose=256), dict(purpose=-1), dict(purpose=1, m=65536),
-                dict(purpose=1, s=65536), dict(purpose=1, trial=2**24)]:
+                dict(purpose=1, s=65536), dict(purpose=1, trial=2**24),
+                dict(purpose=1, m=2.5), dict(purpose=1, m=True)]:
         with pytest.raises(ValueError):
             derive_stream_id(**{"purpose": 0, **bad})
 
@@ -74,6 +75,12 @@ def test_variance_validation():
             sample_quaternion_gaussian(rng, bad)
         with pytest.raises(InvalidVariance):
             sample_gaussian_matrix(rng, 2, 2, bad)
+    # a shape must be a positive integer, not a float or a bool
+    for m, n in ((2.5, 4), (2, 0), (True, 4), (2, "4")):
+        with pytest.raises(ValueError):
+            sample_gaussian_matrix(rng, m, n, 0.25)
+    with pytest.raises(ValueError):
+        sample_dense_signal(rng, 3.0)
 
 
 @pytest.mark.parametrize("group", [4, 1])
@@ -169,7 +176,7 @@ def test_support_sampling():
     assert all(0 <= i < 10 for i in S)
     assert sample_support(RngStream(6, 1), 5, 5).indices == (0, 1, 2, 3, 4)
     assert len(sample_support(RngStream(6, 2), 5, 0)) == 0
-    for bad in (-1, 6):
+    for bad in (-1, 6, 2.0, True):
         with pytest.raises(SparsityOutOfRange):
             sample_support(RngStream(6, 3), 5, bad)
 
@@ -194,8 +201,9 @@ def test_sparse_signal():
     assert lp_norm(x, 0) == 5.0
     z, S0 = sample_sparse_signal(RngStream(9, 1), 6, 0)
     assert lp_norm(z, 0) == 0.0 and len(S0) == 0
-    with pytest.raises(SparsityOutOfRange):
-        sample_sparse_signal(RngStream(9, 2), 6, 7)
+    for bad in (7, 2.0):
+        with pytest.raises(SparsityOutOfRange):
+            sample_sparse_signal(RngStream(9, 2), 6, bad)
 
 
 def test_sparse_signal_entry_law():

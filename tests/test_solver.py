@@ -98,13 +98,11 @@ def test_block_soft_threshold_positive_scaling(np_rng):
 
 def test_solver_params_validation():
     SolverParams()
-    SolverParams(rho=np.float64(2.0), max_iters=np.int64(5))
-    for kwargs in (dict(rho=0.0), dict(rho=-1.0), dict(max_iters=0),
-                   dict(tol_primal=0.0), dict(tol_dual=-1e-9),
-                   dict(rho=math.nan), dict(rho=math.inf), dict(tol_primal=math.nan),
-                   dict(tol_dual=math.inf), dict(rho="1"), dict(rho=True),
-                   dict(max_iters=5.0), dict(max_iters="5"), dict(max_iters=True),
-                   dict(polish=1)):
+    SolverParams(tol=np.float64(1e-9), max_iters=np.int64(5))
+    for kwargs in (dict(max_iters=0), dict(tol=0.0), dict(tol=-1e-9),
+                   dict(tol=math.nan), dict(tol=math.inf), dict(tol="1e-9"),
+                   dict(tol=True), dict(max_iters=5.0), dict(max_iters="5"),
+                   dict(max_iters=True)):
         with pytest.raises(ValueError):
             SolverParams(**kwargs)
 
@@ -267,7 +265,7 @@ def test_minimality_against_brute_force():
 def test_max_iters_status():
     Phi, x, y = sparse_instance(6, 5, 10, 2)
     res = solve(RecoveryProblem(Phi=Phi, y=y, eta=0.0),
-                SolverParams(max_iters=3, polish=False))
+                SolverParams(max_iters=3))
     assert res.status is SolveStatus.MAX_ITERS
     assert res.iterations == 3
 
@@ -319,7 +317,7 @@ def test_trace_file():
 
 def test_converged_residuals_below_tolerances():
     Phi, x, y = sparse_instance(10, 5, 8, 2)
-    params = SolverParams(tol_primal=1e-10, tol_dual=1e-10)
+    params = SolverParams(tol=1e-10)
     res = solve(RecoveryProblem(Phi=Phi, y=y, eta=0.0), params)
     assert res.status is SolveStatus.CONVERGED
     m4 = 4 * Phi.shape[0]
@@ -328,12 +326,13 @@ def test_converged_residuals_below_tolerances():
     assert res.dual_residual < 1e-6
 
 
-def test_rho_equivalence_of_solutions():
+def test_rho_equivalence_of_solutions(monkeypatch):
     # different starting rho must land on the same minimizer
     Phi, x, y = sparse_instance(11, 5, 9, 2)
     sols = []
     for rho in (0.1, 1.0, 10.0):
-        res = solve(RecoveryProblem(Phi=Phi, y=y, eta=0.0), SolverParams(rho=rho))
+        monkeypatch.setattr(solver, "RHO_INIT", rho)
+        res = solve(RecoveryProblem(Phi=Phi, y=y, eta=0.0))
         sols.append(res.x_hat)
     for other in sols[1:]:
         assert lp_norm(other - sols[0], 2) < 1e-7
