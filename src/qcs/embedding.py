@@ -16,12 +16,20 @@ from .errors import BadLength, DimensionMismatch
 from .qlinalg import QMatrix, QVector, quat_mul_arrays
 
 
+# _UNIT_PRODUCTS[a, e] = e_a e_e for the basis units (1, i, j, k): the
+# structure constants of H, every component 0 or +-1.
+_UNIT_PRODUCTS = quat_mul_arrays(np.eye(4)[:, None], np.eye(4)[None, :])
+
+
 def left_mult_blocks(Phi: QMatrix) -> np.ndarray:
     """(m, n, 4, 4) array of per-entry real left-multiplication matrices.
 
-    Column e of block (i, k) is Phi[i, k] times the e-th basis unit.
+    Column e of block (i, k) is Phi[i, k] times the e-th basis unit,
+    sum_a Phi[i, k]_a (e_a e_e). Each component of that sum has one
+    nonzero term, +-Phi[i, k]_a, so it equals the Hamilton product
+    exactly, up to the sign of a zero.
     """
-    return np.stack([quat_mul_arrays(Phi.data, e) for e in np.eye(4)], axis=-1)
+    return np.tensordot(Phi.data, _UNIT_PRODUCTS, ([2], [0])).transpose(0, 1, 3, 2)
 
 
 def build_embedding(Phi: QMatrix, y: QVector) -> tuple[np.ndarray, np.ndarray]:

@@ -156,9 +156,19 @@ class TrialRecord:
         missing = sorted({f.name for f in fields(cls)} - set(d))
         if missing:
             raise ValueError(f"missing record key(s): {', '.join(missing)}")
+        # every value is typed too, so a damaged record fails here instead
+        # of missing the resume lookup or counting as a success
         d = dict(d)
-        d["err_l1"] = math.inf if d["err_l1"] is None else d["err_l1"]
-        d["err_l2"] = math.inf if d["err_l2"] is None else d["err_l2"]
+        for name, low in (("m", 1), ("s", 1), ("trial_index", 0), ("seed", 0),
+                          ("iterations", 0)):
+            d[name] = check_number(d[name], f"record {name}", int, low)
+        for name in ("err_l1", "err_l2"):
+            d[name] = (math.inf if d[name] is None
+                       else check_number(d[name], f"record {name}", low=0.0))
+        for name, kind in (("perfect", bool), ("status", str)):
+            if not isinstance(d[name], kind):
+                raise ValueError(f"record {name} must be a {kind.__name__}, "
+                                 f"got {d[name]!r}")
         return cls(**d)
 
 

@@ -29,10 +29,23 @@ the indicator of the graph {(v, u): A v = u}. The graph projection uses
 the explicit inverse M = (I + A A^T)^{-1}, formed once per solve over
 the rows of A, and is independent of the penalty rho, so
 residual-balancing rho updates are free. An iteration costs two products
-with the operator (A v_half, which the termination check reads as well,
-and one with A^T in the projection) and one over the rows (with M). Dual
-variables are stored unscaled; proximal arguments divide by rho where
-needed. rho starts at RHO_INIT, on which the minimizer does not depend.
+with the operator (A v_half and one with A^T in the projection) and one
+over the rows (with M). It forms r = A v_half - u_half once: r is the
+projection's input and its norm is the primal residual.
+
+init_admm_state allocates every array of the solve once. The iterate is
+stacked as z = (v, u), cols + rows slots, for the half step, the
+projected point (two buffers, swapped each iteration), the unscaled dual
+and the scratch, so the dual update, the step and the dual scale are
+one in-place ufunc each over z; A v_half, r and the shrink factors have
+buffers of their own. admm_step then allocates nothing. It does the
+float operations of the allocating form (kept in tests/oracles.py as
+the reference) in the same order, so its results are the same bits.
+Every array of an AdmmState is overwritten by the next admm_step: a
+caller that keeps one must copy it (solve's x_hat and polish are
+copies).
+
+rho starts at RHO_INIT, on which the minimizer does not depend.
 Residual balancing multiplies or divides rho by RHO_FACTOR whenever one
 residual exceeds RHO_TRIGGER times the other, and settles after
 RHO_MAX_CHANGES such changes: from then on rho stays fixed for the rest
@@ -50,6 +63,7 @@ import enum
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -126,14 +140,34 @@ class SolveResult:
     rho_changes: int
 
 
-def block_soft_threshold(v: np.ndarray, kappa: float) -> np.ndarray:
-    """prox of kappa * ||.||_2 on the trailing axis: max(0, 1 - kappa/||v||) v."""
+def block_soft_threshold(v: np.ndarray, kappa: float, out: np.ndarray | None = None,
+                         scale: np.ndarray | None = None,
+                         live: np.ndarray | None = None) -> np.ndarray:
+    """prox of kappa * ||.||_2 on the trailing axis: max(0, 1 - kappa/||v||) v.
+
+    out (v's shape, not overlapping v), scale and live (v's shape with a
+    trailing axis of 1, float and bool) are buffers a caller may pass so
+    that the call allocates nothing; the result is written to out.
+    """
     if kappa < 0:
         raise ValueError(f"kappa must be >= 0, got {kappa}")
     v = np.asarray(v, dtype=np.float64)
-    norms = np.sqrt(np.sum(v * v, axis=-1, keepdims=True))
-    denom = np.where(norms > 0, norms, 1.0)
-    return np.maximum(0.0, 1.0 - kappa / denom) * v
+    if out is None:
+        out = np.empty_like(v)
+    if scale is None:
+        scale = np.empty(v.shape[:-1] + (1,))
+    if live is None:
+        live = np.empty(scale.shape, dtype=bool)
+    np.multiply(v, v, out=out)
+    np.add.reduce(out, axis=-1, keepdims=True, out=scale)
+    np.sqrt(scale, out=scale)
+    # A group of norm 0 keeps scale 0, so its factor is 1; its entries are
+    # +-0, which any finite factor >= 0 leaves as they are.
+    np.greater(scale, 0.0, out=live)
+    np.divide(kappa, scale, out=scale, where=live)
+    np.subtract(1.0, scale, out=scale)
+    np.maximum(0.0, scale, out=scale)
+    return np.multiply(scale, v, out=out)
 
 
 class GraphProjector:
@@ -144,40 +178,81 @@ class GraphProjector:
     M = (I + A A^T)^{-1}, formed once over the rows of A: t is the
     multiplier of A v = u, and A v = u is A c_v - A A^T t = c_u + t. For
     finite A the eigenvalues of I + A A^T are at least 1, so M always
-    exists, with eigenvalues in (0, 1]. The caller passes A c_v, so the
-    projection does one product with A^T.
+    exists, with eigenvalues in (0, 1]. The caller passes
+    r = A c_v - c_u, so the projection does one product with A^T.
     """
 
     def __init__(self, A: np.ndarray):
         self.A = np.ascontiguousarray(A)
         self.M = np.linalg.inv(np.eye(A.shape[0]) + self.A @ self.A.T)
 
-    def project(self, cv: np.ndarray, Acv: np.ndarray,
-                cu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(v, u) for the point (cv, cu), given Acv = A cv."""
-        t = self.M @ (Acv - cu)
-        return cv - self.A.T @ t, cu + t
+    def project(self, cv: np.ndarray, cu: np.ndarray, r: np.ndarray,
+                out: tuple[np.ndarray, np.ndarray] | None = None,
+                ) -> tuple[np.ndarray, np.ndarray]:
+        """(v, u) for the point (cv, cu), given r = A cv - cu; written to
+        out = (v, u) when given, which must not overlap the inputs."""
+        v, u = out if out is not None else (np.empty_like(cv), np.empty_like(cu))
+        t = np.matmul(self.M, r, out=u)
+        np.matmul(self.A.T, t, out=v)
+        np.subtract(cv, v, out=v)
+        np.add(cu, t, out=u)
+        return v, u
+
+
+class Stacked(NamedTuple):
+    """One stacked vector z = (v, u) and its views; groups is v as
+    (n_groups, group)."""
+
+    z: np.ndarray
+    v: np.ndarray
+    u: np.ndarray
+    groups: np.ndarray
+
+
+def _stacked(cols: int, rows: int, group: int) -> Stacked:
+    z = np.zeros(cols + rows)
+    return Stacked(z, z[:cols], z[cols:], z[:cols].reshape(-1, group))
 
 
 @dataclass
 class AdmmState:
+    """The iterate and every buffer an iteration writes, allocated once
+    per solve by init_admm_state and overwritten by every admm_step."""
+
     projector: GraphProjector
     group: int
     b: np.ndarray
     eta: float
     rho: float
-    v_half: np.ndarray
-    u_half: np.ndarray
-    v_proj: np.ndarray
-    u_proj: np.ndarray
-    lam_v: np.ndarray
-    lam_u: np.ndarray
-    # A v_half, formed once per iteration and read by residuals
-    A_v_half: np.ndarray
+    half: Stacked        # (v_half, u_half)
+    proj: Stacked        # (v_proj, u_proj), the last projected point
+    spare: Stacked       # where the next projection goes; swapped with proj
+    lam: Stacked         # unscaled dual (lam_v, lam_u)
+    work: Stacked        # scratch
+    A_v_half: np.ndarray  # A v_half, read by residuals
+    r: np.ndarray        # A v_half - u_half: the projection input and the primal residual
+    scale: np.ndarray    # (n_groups, 1) shrink factors
+    live: np.ndarray     # (n_groups, 1) groups of nonzero norm
     iteration: int = 0
     # squared step of the projected iterate (v_proj, u_proj) in the last
     # iteration; the dual residual is rho times its root
     step_sq: float = 0.0
+
+    @property
+    def v_half(self) -> np.ndarray:
+        return self.half.v
+
+    @property
+    def u_half(self) -> np.ndarray:
+        return self.half.u
+
+    @property
+    def lam_v(self) -> np.ndarray:
+        return self.lam.v
+
+    @property
+    def lam_u(self) -> np.ndarray:
+        return self.lam.u
 
 
 def init_admm_state(projector: GraphProjector, b: np.ndarray, eta: float,
@@ -185,44 +260,55 @@ def init_admm_state(projector: GraphProjector, b: np.ndarray, eta: float,
     """Cold start at zero (no warm starts across trials); group is the
     number of real slots per coordinate."""
     rows, cols = projector.A.shape
-    z_v = np.zeros(cols)
-    z_u = np.zeros(rows)
-    return AdmmState(projector=projector, group=group,
-                     b=np.asarray(b, dtype=np.float64),
-                     eta=float(eta), rho=float(rho),
-                     v_half=z_v, u_half=z_u, v_proj=z_v, u_proj=z_u,
-                     lam_v=z_v, lam_u=z_u, A_v_half=z_u)
+    b = np.asarray(b, dtype=np.float64)
+    half, proj, spare, lam, work = (_stacked(cols, rows, group) for _ in range(5))
+    if eta == 0:
+        half.u[:] = b  # C = {b}: u_half is b in every iteration
+    scale = np.zeros((cols // group, 1))
+    return AdmmState(projector=projector, group=group, b=b, eta=float(eta),
+                     rho=float(rho), half=half, proj=proj, spare=spare, lam=lam,
+                     work=work, A_v_half=np.zeros(rows),
+                     r=np.zeros(rows), scale=scale,
+                     live=np.zeros(scale.shape, dtype=bool))
 
 
-def _project_ball(r: np.ndarray, b: np.ndarray, eta: float) -> np.ndarray:
-    """Projection onto the ball B(b, eta)."""
-    d = r - b
-    nd = float(np.linalg.norm(d))
+def _project_ball(c: np.ndarray, b: np.ndarray, eta: float, out: np.ndarray) -> None:
+    """Projection of c onto the ball B(b, eta), written to out."""
+    d = np.subtract(c, b, out=out)
+    nd = math.sqrt(d.dot(d))
     if nd <= eta:
-        return r
-    return b + d * (eta / nd)
+        np.copyto(out, c)
+    else:
+        np.multiply(d, eta / nd, out=out)
+        np.add(b, out, out=out)
 
 
 def admm_step(state: AdmmState) -> AdmmState:
     rho = state.rho
-    v_arg = (state.v_proj - state.lam_v / rho).reshape(-1, state.group)
-    v_half = block_soft_threshold(v_arg, 1.0 / rho).reshape(-1)
-    # the projection onto C, which is the point b itself when eta = 0
-    u_half = state.b if state.eta == 0 else _project_ball(
-        state.u_proj - state.lam_u / rho, state.b, state.eta)
+    half, proj, nxt, lam, work = state.half, state.proj, state.spare, state.lam, state.work
+    # the proximal arguments (v_proj, u_proj) - lam / rho
+    np.divide(lam.z, rho, out=work.z)
+    np.subtract(proj.z, work.z, out=work.z)
+    block_soft_threshold(work.groups, 1.0 / rho, out=half.groups, scale=state.scale,
+                         live=state.live)
+    # the projection onto C; u_half holds b throughout when eta = 0
+    if state.eta > 0:
+        _project_ball(work.u, state.b, state.eta, half.u)
 
-    A_v_half = state.projector.A @ v_half
+    np.matmul(state.projector.A, half.v, out=state.A_v_half)
+    np.subtract(state.A_v_half, half.u, out=state.r)
     # The scaled dual lam / rho is a sum of projection residuals, so it
     # stays orthogonal to the graph (lam_v = -A^T lam_u), and the
     # projection of (v_half, u_half) + lam / rho is that of (v_half, u_half).
-    v_proj, u_proj = state.projector.project(v_half, A_v_half, u_half)
+    state.projector.project(half.v, half.u, state.r, out=(nxt.v, nxt.u))
 
-    state.step_sq = (float(np.sum((v_proj - state.v_proj) ** 2))
-                     + float(np.sum((u_proj - state.u_proj) ** 2)))
-    state.v_half, state.u_half, state.A_v_half = v_half, u_half, A_v_half
-    state.v_proj, state.u_proj = v_proj, u_proj
-    state.lam_v = state.lam_v + rho * (v_half - v_proj)
-    state.lam_u = state.lam_u + rho * (u_half - u_proj)
+    np.subtract(nxt.z, proj.z, out=work.z)
+    np.multiply(work.z, work.z, out=work.z)
+    state.step_sq = float(np.add.reduce(work.v)) + float(np.add.reduce(work.u))
+    np.subtract(half.z, nxt.z, out=work.z)
+    np.multiply(rho, work.z, out=work.z)
+    np.add(lam.z, work.z, out=lam.z)
+    state.proj, state.spare = nxt, proj
     state.iteration += 1
     return state
 
@@ -230,19 +316,20 @@ def admm_step(state: AdmmState) -> AdmmState:
 def residuals(state: AdmmState) -> tuple[float, float, float, float]:
     """(primal, dual, primal scale, dual scale) of the current state.
 
-    Primal: violation of A v_half = u_half (u_half lies in C exactly).
+    Primal: violation of A v_half = u_half (u_half lies in C exactly),
+    the norm of the r that admm_step formed for the projection.
     Dual: rho times the step of the projected iterate.
     Scales for the relative tolerances: max(||A v_half||, ||u_half||) on
     the primal side, the scaled-dual norm ||lambda|| / rho on the dual
-    side. A v_half is the product admm_step formed for the projection;
-    no product with A is done here.
+    side. No product with A is done here; a norm is sqrt(x.x), which is
+    what np.linalg.norm computes for a vector.
     """
-    Av = state.A_v_half
-    primal = float(np.linalg.norm(Av - state.u_half))
+    r, Av, u, work = state.r, state.A_v_half, state.half.u, state.work
+    primal = math.sqrt(r.dot(r))
     dual = state.rho * math.sqrt(state.step_sq)
-    primal_scale = max(float(np.linalg.norm(Av)), float(np.linalg.norm(state.u_half)))
-    dual_scale = math.sqrt(float(np.sum(state.lam_v ** 2))
-                           + float(np.sum(state.lam_u ** 2)))
+    primal_scale = max(math.sqrt(Av.dot(Av)), math.sqrt(u.dot(u)))
+    np.multiply(state.lam.z, state.lam.z, out=work.z)
+    dual_scale = math.sqrt(float(np.add.reduce(work.v)) + float(np.add.reduce(work.u)))
     return primal, dual, primal_scale, dual_scale / state.rho
 
 

@@ -5,11 +5,14 @@ in the package cannot hide behind a shared helper: multiplication comes from
 a basis table, the real embedding from a hand-written left-multiplication
 block, operator norms from power iteration, and minimizers from support
 enumeration or, for real basis pursuit, from an exact linear program.
+The reference ADMM iteration is the allocating form of the solver's
+in-place step, one fresh array per operation, for bit-for-bit checks.
 """
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -180,3 +183,81 @@ def near_isometry_matrix(seed: int, m: int, n: int) -> QMatrix:
     data = np.stack([c.data for c in cols], axis=1)
     from qcs.qlinalg import adjoint
     return adjoint(QMatrix(data))
+
+
+# ---------------------------------------------------------------------------
+# Reference ADMM iteration: the same float operations, in the same order, as
+# qcs.solver.admm_step and residuals, written with fresh arrays. Drop-in for
+# solver.init_admm_state / admm_step / residuals inside solver.solve.
+
+
+@dataclass
+class RefAdmmState:
+    A: np.ndarray
+    M: np.ndarray
+    group: int
+    b: np.ndarray
+    eta: float
+    rho: float
+    v_half: np.ndarray
+    u_half: np.ndarray
+    v_proj: np.ndarray
+    u_proj: np.ndarray
+    lam_v: np.ndarray
+    lam_u: np.ndarray
+    A_v_half: np.ndarray
+    iteration: int = 0
+    step_sq: float = 0.0
+
+
+def ref_init_admm_state(projector, b, eta, rho, group) -> RefAdmmState:
+    """Cold start at zero, on the operator and inverse of a GraphProjector."""
+    rows, cols = projector.A.shape
+    z_v, z_u = np.zeros(cols), np.zeros(rows)
+    return RefAdmmState(A=projector.A, M=projector.M, group=group,
+                        b=np.asarray(b, dtype=np.float64), eta=float(eta),
+                        rho=float(rho), v_half=z_v, u_half=z_u, v_proj=z_v,
+                        u_proj=z_u, lam_v=z_v, lam_u=z_u, A_v_half=z_u)
+
+
+def ref_block_soft_threshold(v: np.ndarray, kappa: float) -> np.ndarray:
+    norms = np.sqrt(np.sum(v * v, axis=-1, keepdims=True))
+    denom = np.where(norms > 0, norms, 1.0)
+    return np.maximum(0.0, 1.0 - kappa / denom) * v
+
+
+def ref_project_ball(c: np.ndarray, b: np.ndarray, eta: float) -> np.ndarray:
+    d = c - b
+    nd = float(np.linalg.norm(d))
+    if nd <= eta:
+        return c
+    return b + d * (eta / nd)
+
+
+def ref_admm_step(state: RefAdmmState) -> RefAdmmState:
+    rho = state.rho
+    v_arg = (state.v_proj - state.lam_v / rho).reshape(-1, state.group)
+    v_half = ref_block_soft_threshold(v_arg, 1.0 / rho).reshape(-1)
+    u_half = state.b if state.eta == 0 else ref_project_ball(
+        state.u_proj - state.lam_u / rho, state.b, state.eta)
+    A_v_half = state.A @ v_half
+    t = state.M @ (A_v_half - u_half)
+    v_proj, u_proj = v_half - state.A.T @ t, u_half + t
+    state.step_sq = (float(np.sum((v_proj - state.v_proj) ** 2))
+                     + float(np.sum((u_proj - state.u_proj) ** 2)))
+    state.v_half, state.u_half, state.A_v_half = v_half, u_half, A_v_half
+    state.v_proj, state.u_proj = v_proj, u_proj
+    state.lam_v = state.lam_v + rho * (v_half - v_proj)
+    state.lam_u = state.lam_u + rho * (u_half - u_proj)
+    state.iteration += 1
+    return state
+
+
+def ref_residuals(state: RefAdmmState) -> tuple[float, float, float, float]:
+    Av = state.A_v_half
+    primal = float(np.linalg.norm(Av - state.u_half))
+    dual = state.rho * math.sqrt(state.step_sq)
+    primal_scale = max(float(np.linalg.norm(Av)), float(np.linalg.norm(state.u_half)))
+    dual_scale = math.sqrt(float(np.sum(state.lam_v ** 2))
+                           + float(np.sum(state.lam_u ** 2)))
+    return primal, dual, primal_scale, dual_scale / state.rho

@@ -11,7 +11,9 @@ import sys
 import numpy as np
 import pytest
 
+import oracles
 import qcs
+from qcs import solver
 from qcs.cli import build_config, build_parser, main
 from qcs.qlinalg import load_json, matvec, save_json
 from qcs.random import (
@@ -345,6 +347,48 @@ def test_sweep_refuses_a_truncated_record_cleanly(capsys, tmp_path, key):
     assert (code, out, len(err.splitlines())) == (1, "", 1)
     assert json.loads(err) == {"error": "ValueError",
                                "message": f"missing record key(s): {key}"}
+
+
+@pytest.mark.parametrize("key, value", [("m", "4"), ("perfect", "no"), ("iterations", 7.5),
+                                        ("err_l2", "0"), ("status", None)])
+def test_sweep_refuses_a_record_with_a_wrongly_typed_value(capsys, tmp_path, key, value):
+    # a string m used to miss the resume lookup, so the trial ran again and
+    # a fifth line was appended; a string perfect counted as a success
+    out_dir = tmp_path / "o"
+    argv = ["sweep", "--n", "16", "--m", "4", "--trials", "2", "--out", str(out_dir)]
+    assert run_cli(capsys, argv)[0] == 0
+    first, *rest = (out_dir / "records.jsonl").read_text().splitlines(keepends=True)
+    assert len(rest) == 3
+    damaged = json.dumps({**json.loads(first), key: value}) + "\n" + "".join(rest)
+    (out_dir / "records.jsonl").write_text(damaged)
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out, len(err.splitlines())) == (1, "", 1)
+    assert json.loads(err)["error"] == "ValueError"
+    assert f"record {key}" in json.loads(err)["message"]
+    assert (out_dir / "records.jsonl").read_text() == damaged
+
+
+def test_recover_trace_matches_the_reference_loop(capsys, instance_files, tmp_path,
+                                                  monkeypatch):
+    # the in-place iteration writes the trace, the x_hat file and the
+    # report of the allocating reference step byte for byte
+    _, phi, y, truth = instance_files
+    outputs = []
+    for step in ("in-place", "reference"):
+        if step == "reference":
+            monkeypatch.setattr(solver, "init_admm_state", oracles.ref_init_admm_state)
+            monkeypatch.setattr(solver, "admm_step", oracles.ref_admm_step)
+            monkeypatch.setattr(solver, "residuals", oracles.ref_residuals)
+        paths = [tmp_path / f"{step}.csv", tmp_path / f"{step}.json"]
+        code, out, _ = run_cli(capsys, ["recover", "--phi", phi, "--y", y,
+                                        "--truth", truth, "--trace", str(paths[0]),
+                                        "--out", str(paths[1])])
+        assert code == 0
+        report = json.loads(out)
+        report.pop("x_hat_path")
+        outputs.append((report, paths[0].read_bytes(), paths[1].read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0][1].splitlines()) - 1 == outputs[0][0]["iterations"] > 10
 
 
 def test_c0_takes_s_above_half_m(capsys, tmp_path):

@@ -4,7 +4,7 @@ import pytest
 import oracles
 from qcs.embedding import build_embedding, left_mult_blocks, unvec4, vec4
 from qcs.errors import BadLength
-from qcs.qlinalg import QMatrix, QVector, lp_norm, matvec
+from qcs.qlinalg import QMatrix, QVector, lp_norm, matvec, quat_mul_arrays
 from qcs.quaternion import I, ONE, Quaternion
 from qcs.random import RngStream, sample_gaussian_matrix, sample_dense_signal
 
@@ -44,6 +44,35 @@ def test_blocks_match_reference(np_rng):
         for k in range(4):
             assert np.allclose(B[i, k], oracles.ref_left_block(Phi.entry(i, k)),
                                atol=1e-14)
+
+
+def per_unit_blocks(Phi):
+    """The blocks as a Hamilton product per basis unit: column e of block
+    (i, k) is quat_mul_arrays(Phi[i, k], e_e)."""
+    return np.stack([quat_mul_arrays(Phi.data, e) for e in np.eye(4)], axis=-1)
+
+
+@pytest.mark.parametrize("m", [8, 32, 64])
+def test_blocks_are_the_bytes_of_per_unit_products(m):
+    Phi = sample_gaussian_matrix(RngStream(40 + m, 0), m, 256, 1.0 / m)
+    want = per_unit_blocks(Phi)
+    assert left_mult_blocks(Phi).tobytes() == want.tobytes()
+    A, _ = build_embedding(Phi, QVector.zeros(m))
+    assert A.tobytes() == want.transpose(0, 2, 1, 3).reshape(4 * m, 4 * 256).tobytes()
+
+
+def test_blocks_equal_per_unit_products_with_zero_components():
+    # exact zeros of either sign, as in a real or a pure-imaginary Phi; the
+    # sign of a zero entry may differ, its value may not
+    data = np.random.default_rng(5).standard_normal((6, 9, 4))
+    data[:3, :, 1:] = 0.0
+    data[3:, :, 0] = -0.0
+    data[::2, ::3, 2] = -0.0
+    Phi = QMatrix(data)
+    got, want = left_mult_blocks(Phi), per_unit_blocks(Phi)
+    assert np.array_equal(got, want)
+    nonzero = want != 0
+    assert got[nonzero].tobytes() == want[nonzero].tobytes()
 
 
 def test_block_transpose_is_conjugate(np_rng):

@@ -145,7 +145,8 @@ def test_projection_u_equals_a_v(np_rng, m4, n4):
         proj = GraphProjector(A)
         for _ in range(3):
             cv = np_rng.standard_normal(n4)
-            v, u = proj.project(cv, A @ cv, np_rng.standard_normal(m4))
+            cu = np_rng.standard_normal(m4)
+            v, u = proj.project(cv, cu, A @ cv - cu)
             assert np.linalg.norm(u - A @ v) <= 1e-12 * (1.0 + np.linalg.norm(u))
 
 
@@ -154,7 +155,7 @@ def test_projection_u_equals_a_v(np_rng, m4, n4):
 def test_projection_matches_dense_solve(np_rng, rows, cols):
     # the projection of (cv, cu) onto A v = u is v = (I + A^T A)^{-1}
     # (cv + A^T cu), u = A v; project computes it through
-    # M = (I + A A^T)^{-1} from A cv. A shift (-A^T mu, mu) is orthogonal
+    # M = (I + A A^T)^{-1} from A cv - cu. A shift (-A^T mu, mu) is orthogonal
     # to the graph and leaves the projection where it was.
     for A in (np_rng.standard_normal((rows, cols)) / math.sqrt(rows),
               np.zeros((rows, cols))):
@@ -162,13 +163,13 @@ def test_projection_matches_dense_solve(np_rng, rows, cols):
         for _ in range(3):
             cv = np_rng.standard_normal(cols)
             cu = np_rng.standard_normal(rows)
-            v, u = proj.project(cv, A @ cv, cu)
+            v, u = proj.project(cv, cu, A @ cv - cu)
             v_ref = np.linalg.solve(np.eye(cols) + A.T @ A, cv + A.T @ cu)
             assert np.linalg.norm(v - v_ref) <= 1e-12 * (1.0 + np.linalg.norm(v_ref))
             assert np.linalg.norm(u - A @ v_ref) <= 1e-12 * (1.0 + np.linalg.norm(v_ref))
             mu = np_rng.standard_normal(rows)
             cv_mu = cv - A.T @ mu
-            v_mu, u_mu = proj.project(cv_mu, A @ cv_mu, cu + mu)
+            v_mu, u_mu = proj.project(cv_mu, cu + mu, A @ cv_mu - (cu + mu))
             assert np.linalg.norm(v_mu - v) <= 1e-12 * (1.0 + np.linalg.norm(v))
             assert np.linalg.norm(u_mu - u) <= 1e-12 * (1.0 + np.linalg.norm(u))
 
@@ -497,3 +498,70 @@ def test_rho_stops_changing_at_the_bound():
     changes = [k for k in range(1, len(rhos)) if rhos[k] != rhos[k - 1]]
     assert len(changes) == res.rho_changes == solver.RHO_MAX_CHANGES
     assert rhos[-1] == res.rho
+
+
+# ---------------------------------------------------------------------------
+# the in-place iteration against its allocating reference
+
+
+@pytest.mark.parametrize("group", [1, 4])
+@pytest.mark.parametrize("eta", [0.0, 0.05])
+def test_step_matches_allocating_reference_bit_for_bit(group, eta):
+    # 300 iterations under the solve's rho schedule, with rho tripled at
+    # iteration 150 so that it leaves the powers of two; every array and
+    # residual must be equal
+    if group == 1:
+        Phi, _, y = real_instance(12, 12, 40, 3, eta)
+        A, b = Phi.data[..., 0], y.data[:, 0]
+    else:
+        Phi, _, y = sparse_instance(12, 6, 24, 2, eta)
+        A, b = build_embedding(Phi, y)
+    projector = GraphProjector(A)
+    state = init_admm_state(projector, b, eta, 1.0, group)
+    ref = oracles.ref_init_admm_state(projector, b, eta, 1.0, group)
+    rhos = set()
+    for it in range(300):
+        admm_step(state)
+        oracles.ref_admm_step(ref)
+        got, want = residuals(state), oracles.ref_residuals(ref)
+        assert got == want, it
+        assert state.step_sq == ref.step_sq
+        for name in ("v_half", "u_half", "lam_v", "lam_u", "A_v_half"):
+            assert np.array_equal(getattr(state, name), getattr(ref, name)), (it, name)
+        assert np.array_equal(state.proj.v, ref.v_proj)
+        assert np.array_equal(state.proj.u, ref.u_proj)
+        assert np.array_equal(state.r, ref.A_v_half - ref.u_half)
+        r_pri, r_dual = got[:2]
+        if it == 150:
+            state.rho = ref.rho = state.rho * 3.0
+        elif r_pri > solver.RHO_TRIGGER * r_dual:
+            state.rho = ref.rho = state.rho * solver.RHO_FACTOR
+        elif r_dual > solver.RHO_TRIGGER * r_pri:
+            state.rho = ref.rho = state.rho / solver.RHO_FACTOR
+        rhos.add(state.rho)
+    assert len(rhos) > 1
+    assert state.iteration == ref.iteration == 300
+
+
+def test_solve_result_does_not_alias_the_state():
+    # x_hat is a copy, so a state that iterates on after the solve leaves
+    # the result as it was
+    Phi, _, y = sparse_instance(13, 5, 10, 2)
+    states = []
+    init = solver.init_admm_state
+
+    def keep(*args):
+        states.append(init(*args))
+        return states[-1]
+
+    for polished in (False, True):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(solver, "init_admm_state", keep)
+            if not polished:
+                patch.setattr(solver, "_polish_candidate", lambda *args: None)
+            res = solve(RecoveryProblem(Phi=Phi, y=y, eta=0.0))
+        assert res.polished is polished
+        before = res.x_hat.data.copy()
+        for _ in range(5):
+            admm_step(states[-1])
+        assert np.array_equal(res.x_hat.data, before)
