@@ -2,6 +2,12 @@
 lower-bound scatter, the measurement-ratio distribution test, persistence
 and plot emission.
 
+The protocol is fixed here, not in the config: every solve uses
+SWEEP_SOLVER, and a trial counts as perfect when err_l2 <=
+PERFECT_THRESHOLD. ExperimentConfig holds only what a caller chooses:
+the grid, the trial count, the seed, the field, the noise bound and the
+output directory.
+
 Persistence layout under ExperimentConfig.out_dir:
 
     config.json    frozen config snapshot (guards resumes against drift)
@@ -21,7 +27,7 @@ import itertools
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -32,17 +38,15 @@ from .qlinalg import (QVector, _pair_product, _split_complex, best_s_sparse, lp_
 from .solver import RecoveryProblem, SolverParams, solve
 
 # raised when a record or config.json field is removed or changes meaning
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
+# a trial recovers x when err_l2 is at most this
+PERFECT_THRESHOLD = 1e-7
 
-def sweep_solver_params() -> SolverParams:
-    """Solver profile used by experiments.
-
-    Tighter than needed for the 1e-7 perfect-recovery threshold (support
-    polish lands well below it once the iterate is accurate to ~1e-9),
-    but capped at an iteration count that keeps failing cells cheap.
-    """
-    return SolverParams(max_iters=3000, tol=1e-9)
+# the solver profile of sweeps and c0: tighter than the threshold needs
+# (support polish lands well below it once the iterate is accurate to
+# ~1e-9), but capped at an iteration count that keeps failing cells cheap
+SWEEP_SOLVER = SolverParams(max_iters=3000, tol=1e-9)
 
 
 def _check_object(d, cls, where: str) -> None:
@@ -62,9 +66,7 @@ class ExperimentConfig:
     trials: int = 1000
     base_seed: int = 0
     scalar_mode: str = "quaternion"
-    perfect_threshold: float = 1e-7
     eta: float = 0.0
-    solver: SolverParams = field(default_factory=sweep_solver_params)
     out_dir: str = "qcs_results"
 
     def __post_init__(self):
@@ -75,18 +77,20 @@ class ExperimentConfig:
         put("trials", check_number(self.trials, "trials", int, 1))
         put("base_seed", check_number(self.base_seed, "base_seed", int, 0, 2 ** 64 - 1))
         put("eta", check_number(self.eta, "eta", low=0.0))
-        put("perfect_threshold", check_number(self.perfect_threshold, "perfect_threshold",
-                                              low=0.0, low_open=True))
         if not isinstance(self.m_values, (list, tuple)) or not self.m_values:
             raise ValueError(f"m_values must be a non-empty list of integers, "
                              f"got {self.m_values!r}")
         put("m_values", tuple(check_number(m, "m_values", int, 1) for m in self.m_values))
-        if isinstance(self.s_rule, (list, tuple)):
-            put("s_rule", tuple(check_number(s, "s_rule", int, 1) for s in self.s_rule))
+        if isinstance(self.s_rule, (list, tuple)) and self.s_rule:
+            put("s_rule", tuple(check_number(s, "s_rule", int, 1, self.n)
+                                for s in self.s_rule))
         elif self.s_rule != "1..m/2":
-            raise ValueError(f"s_rule must be \"1..m/2\" or a list of integers, "
-                             f"got {self.s_rule!r}")
-        for name, cls in (("scalar_mode", str), ("out_dir", str), ("solver", SolverParams)):
+            raise ValueError(f"s_rule must be \"1..m/2\" or a non-empty list of "
+                             f"integers, got {self.s_rule!r}")
+        elif max(self.m_values) // 2 > self.n:
+            raise ValueError(f"s_rule 1..m/2 runs s = {max(self.m_values) // 2} "
+                             f"> n = {self.n}")
+        for name, cls in (("scalar_mode", str), ("out_dir", str)):
             if not isinstance(getattr(self, name), cls):
                 raise ValueError(f"config key {name} must be a {cls.__name__}, "
                                  f"got {getattr(self, name)!r}")
@@ -95,9 +99,6 @@ class ExperimentConfig:
                              f"{self.scalar_mode!r}")
         # every trial's stream id must fit the layout qcs.random packs
         qrandom.derive_stream_id(0, max(self.m_values), 0, self.trials - 1)
-        for m, s in self.cells():
-            if s > self.n:
-                raise ValueError(f"cell (m={m}, s={s}) has s > n = {self.n}")
 
     def s_values_for(self, m: int) -> list[int]:
         """Sparsities for one m; the protocol caps s at m/2."""
@@ -114,19 +115,11 @@ class ExperimentConfig:
         d["m_values"] = list(self.m_values)
         if isinstance(self.s_rule, tuple):
             d["s_rule"] = list(self.s_rule)
-        d["solver"] = asdict(self.solver)
         return d
 
     @classmethod
     def from_json_dict(cls, d: dict) -> ExperimentConfig:
         _check_object(d, cls, "config")
-        d = dict(d)
-        if "solver" in d:
-            _check_object(d["solver"], SolverParams, "solver")
-            try:
-                d["solver"] = SolverParams(**d["solver"])
-            except ValueError as e:
-                raise ValueError(f"solver {e}") from None
         return cls(**d)
 
 
@@ -222,7 +215,7 @@ def _sample_problem(config: ExperimentConfig, m: int, s: int, trial: int):
 def run_single_trial(config: ExperimentConfig, m: int, s: int, trial: int) -> TrialRecord:
     try:
         Phi, x, y = _sample_problem(config, m, s, trial)
-        result = solve(RecoveryProblem(Phi, y, config.eta), config.solver)
+        result = solve(RecoveryProblem(Phi, y, config.eta), SWEEP_SOLVER)
         err_l1 = lp_norm(result.x_hat - x, 1)
         err_l2 = lp_norm(result.x_hat - x, 2)
         status = result.status.value
@@ -233,7 +226,7 @@ def run_single_trial(config: ExperimentConfig, m: int, s: int, trial: int) -> Tr
         iterations = 0
     return TrialRecord(m=m, s=s, trial_index=trial, seed=config.base_seed,
                        err_l1=err_l1, err_l2=err_l2,
-                       perfect=err_l2 <= config.perfect_threshold,
+                       perfect=err_l2 <= PERFECT_THRESHOLD,
                        status=status, iterations=iterations)
 
 
@@ -270,6 +263,9 @@ def run_sweep(config: ExperimentConfig, verbose: bool = False) -> PhaseDiagram:
     if os.path.exists(config_path):
         with open(config_path) as fh:
             existing = json.load(fh)
+        if not isinstance(existing, dict):
+            raise ValueError(f"{config_path} must hold a JSON object, "
+                             f"got {type(existing).__name__}")
         # out_dir names the directory config.json sits in, so any spelling
         # of it (results, results/, ./results) is the same sweep; the stored
         # spelling is kept so summary.json still echoes config.json
@@ -362,9 +358,9 @@ def run_c0_experiment(config: ExperimentConfig, verbose: bool = False) -> Scatte
     fixed m x n matrix; each solve yields a lower bound on the l1 error
     constant per s via ||x# - x||_1 / ||x - x_s||_1, for s in a
     config.s_rule list, else 1..min(2m, n)."""
-    # noiseless quaternion solves with no verdicts: a config that
-    # moves these settings asks for what c0 does not do
-    for name in ("scalar_mode", "eta", "perfect_threshold"):
+    # noiseless quaternion solves: a config that moves these settings
+    # asks for what c0 does not do
+    for name in ("scalar_mode", "eta"):
         default = getattr(ExperimentConfig, name)
         if getattr(config, name) != default:
             raise ValueError(f"c0 does not read {name}, so it must stay {default!r}; "
@@ -374,8 +370,6 @@ def run_c0_experiment(config: ExperimentConfig, verbose: bool = False) -> Scatte
     m = config.m_values[0]
     if isinstance(config.s_rule, tuple):
         s_values = list(config.s_rule)
-        if any(s > config.n for s in s_values):
-            raise ValueError(f"s values must lie in [1, {config.n}]")
     else:
         s_values = list(range(1, min(2 * m, config.n) + 1))
     mat_rng = qrandom.trial_stream(config.base_seed, qrandom.PURPOSE_MATRIX, m, 0, 0)
@@ -387,7 +381,7 @@ def run_c0_experiment(config: ExperimentConfig, verbose: bool = False) -> Scatte
         sig_rng = qrandom.trial_stream(config.base_seed, qrandom.PURPOSE_DENSE,
                                        m, 0, trial)
         x = qrandom.sample_dense_signal(sig_rng, config.n, 1.0)
-        result = solve(RecoveryProblem(Phi, matvec(Phi, x), 0.0), config.solver)
+        result = solve(RecoveryProblem(Phi, matvec(Phi, x), 0.0), SWEEP_SOLVER)
         bounds = [(s, _c0_point(x, result.x_hat, s)) for s in s_values]
         points += [(s, v) for s, v in bounds if v is not None]
         skipped += sum(v is None for _, v in bounds)

@@ -66,8 +66,7 @@ def report(num: int, desc: str, ok: bool, detail: str) -> None:
 def recovery_rate(tmp_path, tag, n, m, s, trials, mode="quaternion"):
     config = harness.ExperimentConfig(
         n=n, m_values=(m,), s_rule=(s,), trials=trials, base_seed=0,
-        scalar_mode=mode, solver=harness.sweep_solver_params(),
-        out_dir=str(tmp_path / tag))
+        scalar_mode=mode, out_dir=str(tmp_path / tag))
     return harness.run_sweep(config).rates[(m, s)]
 
 

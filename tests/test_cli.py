@@ -214,8 +214,12 @@ def test_sweep_config_file_with_overrides(capsys, tmp_path):
     assert summary["cells"][0]["trials"] == 2
 
 
-@pytest.mark.parametrize("extra, unknown", [({"trails": 3}, "trails"),
-                                            ({"solver": {"bogus": 1}}, "bogus")])
+@pytest.mark.parametrize("extra, unknown", [
+    ({"trails": 3}, "trails"),
+    # the sweep protocol is fixed in code, not a config setting
+    ({"solver": {"max_iters": 3000, "tol": 1e-9}}, "solver"),
+    ({"perfect_threshold": 1e-7}, "perfect_threshold"),
+])
 def test_sweep_config_unknown_key_fails_cleanly(capsys, tmp_path, extra, unknown):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"n": 12, "m_values": [6], "s_rule": [1],
@@ -231,10 +235,10 @@ def test_sweep_config_unknown_key_fails_cleanly(capsys, tmp_path, extra, unknown
 
 
 @pytest.mark.parametrize("extra", [
-    {"n": "64"}, {"solver": {"max_iters": "5"}}, {"trials": 2.5}, {"n": 16.0},
+    {"n": "64"}, {"base_seed": "0"}, {"trials": 2.5}, {"n": 16.0},
     {"m_values": [8.7]}, {"s_rule": [1.9]}, {"trials": True}, {"eta": False},
-    {"solver": {"polish": 0}}, {"record_timings": "yes"}, {"m_values": 6},
-    {"solver": {"rho": math.nan}}, {"solver": {"tol_dual": math.inf}},
+    {"scalar_mode": 4}, {"record_timings": "yes"}, {"m_values": 6},
+    {"eta": math.nan}, {"eta": math.inf},
 ])
 def test_sweep_config_wrong_type_fails_cleanly(capsys, tmp_path, extra):
     cfg_path = tmp_path / "cfg.json"
@@ -250,9 +254,7 @@ def test_sweep_config_wrong_type_fails_cleanly(capsys, tmp_path, extra):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("content", [{"n": 12, "m_values": [6], "s_rule": [1],
-                                      "trials": 1, "solver": 3},
-                                     [1, 2]])
+@pytest.mark.parametrize("content", [None, [1, 2]])
 def test_sweep_config_not_an_object_fails_cleanly(capsys, tmp_path, content):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(content))
@@ -312,25 +314,77 @@ def test_sweep_refuses_a_schema_1_directory_cleanly(capsys, tmp_path):
                                "message": "unknown record key(s): wall_time"}
 
 
+# the sweep protocol as schema 3 stored it in config.json
+SCHEMA_3_KEYS = {"perfect_threshold": 1e-7, "solver": {"max_iters": 3000, "tol": 1e-9}}
+
+
 def test_sweep_refuses_a_schema_2_directory_cleanly(capsys, tmp_path):
     # schema 2 held five solver keys; the sweep profile's values of them
-    # migrate to the one "tol" key
+    # migrate to the one "tol" key (step 2), and then the protocol keys
+    # go (step 3)
     out_dir = tmp_path / "o"
     argv = ["sweep", "--n", "12", "--m", "6", "--s", "1", "--trials", "2",
             "--out", str(out_dir)]
     assert run_cli(capsys, argv)[0] == 0
     config = json.loads((out_dir / "config.json").read_text())
     records = (out_dir / "records.jsonl").read_bytes()
-    assert config["solver"] == {"max_iters": 3000, "tol": 1e-9}
     old = {"rho": 1.0, "max_iters": 3000, "tol_primal": 1e-9, "tol_dual": 1e-9,
            "polish": True}
-    (out_dir / "config.json").write_text(json.dumps({**config, "solver": old}))
+    for stored in ({**config, **SCHEMA_3_KEYS, "solver": old},
+                   {**config, **SCHEMA_3_KEYS}):
+        (out_dir / "config.json").write_text(json.dumps(stored))
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out, len(err.splitlines())) == (1, "", 1)
+        assert json.loads(err)["error"] == "ValueError"
+    (out_dir / "config.json").write_text(json.dumps(config))
+    assert run_cli(capsys, argv)[0] == 0
+    assert (out_dir / "records.jsonl").read_bytes() == records
+
+
+def test_sweep_refuses_a_schema_3_directory_cleanly(capsys, tmp_path):
+    # schema 3 stored perfect_threshold and the solver profile; once both
+    # keys are deleted the sweep resumes where it stopped
+    out_dir = tmp_path / "o"
+    argv = ["sweep", "--n", "12", "--m", "6", "--s", "1", "--trials", "2",
+            "--out", str(out_dir)]
+    assert run_cli(capsys, argv)[0] == 0
+    config = json.loads((out_dir / "config.json").read_text())
+    assert not set(SCHEMA_3_KEYS) & set(config)
+    records = (out_dir / "records.jsonl").read_bytes()
+    (out_dir / "records.jsonl").write_bytes(records.splitlines(keepends=True)[0])
+    (out_dir / "config.json").write_text(json.dumps({**config, **SCHEMA_3_KEYS}))
     code, out, err = run_cli(capsys, argv)
     assert (code, out, len(err.splitlines())) == (1, "", 1)
     assert json.loads(err)["error"] == "ValueError"
     (out_dir / "config.json").write_text(json.dumps(config))
     assert run_cli(capsys, argv)[0] == 0
     assert (out_dir / "records.jsonl").read_bytes() == records
+
+
+def test_sweep_refuses_a_config_json_that_is_not_an_object(capsys, tmp_path):
+    out_dir = tmp_path / "o"
+    argv = ["sweep", "--n", "12", "--m", "6", "--s", "1", "--trials", "2",
+            "--out", str(out_dir)]
+    assert run_cli(capsys, argv)[0] == 0
+    records = (out_dir / "records.jsonl").read_bytes()
+    (out_dir / "config.json").write_text("[1, 2]")
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {
+        "error": "ValueError",
+        "message": f"{out_dir / 'config.json'} must hold a JSON object, got list"}
+    assert (out_dir / "records.jsonl").read_bytes() == records
+
+
+@pytest.mark.parametrize("command", ["sweep", "c0"])
+def test_an_empty_s_list_fails_cleanly(capsys, tmp_path, command):
+    code, out, err = run_cli(capsys, [command, "--n", "8", "--m", "4", "--trials", "2",
+                                      "--s", ",", "--out", str(tmp_path / "o")])
+    assert (code, out, len(err.splitlines())) == (1, "", 1)
+    record = json.loads(err)
+    assert record["error"] == "ValueError"
+    assert "s_rule" in record["message"]
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("key", ["err_l1", "iterations"])

@@ -11,6 +11,7 @@ from qcs import random as qrandom
 from qcs import solver
 from qcs.errors import IoFailure
 from qcs.harness import (
+    PERFECT_THRESHOLD,
     ExperimentConfig,
     PhaseDiagram,
     ScatterData,
@@ -23,7 +24,6 @@ from qcs.harness import (
     run_ratio_test,
     run_single_trial,
     run_sweep,
-    sweep_solver_params,
     worker_count,
 )
 from qcs.qlinalg import QMatrix, QVector, lp_norm, matvec
@@ -32,8 +32,7 @@ from qcs.solver import RecoveryProblem, SolverParams
 
 def small_config(tmp_path, **overrides):
     base = dict(n=16, m_values=(8,), s_rule=(1, 2), trials=4, base_seed=0,
-                scalar_mode="quaternion", solver=sweep_solver_params(),
-                out_dir=str(tmp_path / "out"))
+                scalar_mode="quaternion", out_dir=str(tmp_path / "out"))
     base.update(overrides)
     return ExperimentConfig(**base)
 
@@ -46,16 +45,14 @@ def test_config_validation(tmp_path):
     small_config(tmp_path)
     for kwargs in (dict(trials=0), dict(n=0), dict(m_values=()),
                    dict(m_values=(0,)), dict(scalar_mode="octonion"),
-                   dict(eta=-1.0), dict(perfect_threshold=0.0),
-                   dict(eta=math.nan), dict(eta=math.inf),
-                   dict(perfect_threshold=math.nan), dict(perfect_threshold=math.inf),
-                   dict(s_rule="2..m"), dict(s_rule=(0, 1)),
+                   dict(eta=-1.0), dict(eta=math.nan), dict(eta=math.inf),
+                   dict(s_rule="2..m"), dict(s_rule=(0, 1)), dict(s_rule=()),
+                   dict(s_rule=[]), dict(s_rule=(1, 17)),
                    # wrong types
                    dict(n=16.0), dict(n="16"), dict(trials=True), dict(trials=2.5),
                    dict(base_seed=None), dict(m_values=(8.7,)), dict(m_values=8),
-                   dict(s_rule=(1.9,)), dict(eta="0"), dict(perfect_threshold=True),
-                   dict(out_dir=None), dict(scalar_mode=0),
-                   dict(solver={"max_iters": 5})):
+                   dict(s_rule=(1.9,)), dict(eta="0"),
+                   dict(out_dir=None), dict(scalar_mode=0)):
         with pytest.raises(ValueError):
             small_config(tmp_path, **kwargs)
 
@@ -87,11 +84,8 @@ def test_config_takes_numpy_numbers(tmp_path):
 def test_config_float32_settings_serialize(tmp_path):
     # numpy float32 is not a float subclass; stored as given, it would tear
     # config.json in json.dump
-    cfg = small_config(tmp_path, eta=np.float32(0.5), perfect_threshold=np.float32(1e-7),
-                       solver=SolverParams(tol=np.float32(1e-9), max_iters=3000))
-    plain = small_config(tmp_path, eta=float(np.float32(0.5)),
-                         perfect_threshold=float(np.float32(1e-7)),
-                         solver=SolverParams(tol=float(np.float32(1e-9)), max_iters=3000))
+    cfg = small_config(tmp_path, eta=np.float32(0.5))
+    plain = small_config(tmp_path, eta=float(np.float32(0.5)))
     assert json.dumps(cfg.to_json_dict(), sort_keys=True) == \
         json.dumps(plain.to_json_dict(), sort_keys=True)
     cfg = small_config(tmp_path, s_rule=(1,), trials=1, eta=np.float32(0.01))
@@ -160,7 +154,7 @@ def test_single_trial_perfect(tmp_path):
     cfg = small_config(tmp_path)
     rec = run_single_trial(cfg, 8, 1, 0)
     assert rec.perfect
-    assert rec.err_l2 <= cfg.perfect_threshold
+    assert rec.err_l2 <= PERFECT_THRESHOLD
     assert rec.status == "converged"
     assert rec.iterations > 0
 
@@ -417,7 +411,6 @@ def test_ratio_test_refuses_counts_that_are_not_integers(m, samples):
 
 def test_c0_experiment(tmp_path):
     cfg = ExperimentConfig(n=8, m_values=(8,), trials=3, base_seed=0,
-                           solver=sweep_solver_params(),
                            out_dir=str(tmp_path / "c0"))
     data = run_c0_experiment(cfg)
     # s runs to min(2m, n) = 8; at s = n every vector is exactly s-sparse,
@@ -436,13 +429,11 @@ def test_c0_experiment(tmp_path):
 
 
 def test_c0_experiment_validates_s(tmp_path):
-    # s = 0 is refused by the config itself (test_config_validation)
-    cfg = ExperimentConfig(n=8, m_values=(4,), s_rule=(9,), trials=1,
-                           solver=sweep_solver_params(),
-                           out_dir=str(tmp_path / "c0v"))
+    # s = 0 and s > n are refused by the config itself, so c0 writes nothing
     with pytest.raises(ValueError):
-        run_c0_experiment(cfg)
-    assert not os.path.exists(cfg.out_dir)
+        run_c0_experiment(ExperimentConfig(n=8, m_values=(4,), s_rule=(9,), trials=1,
+                                           out_dir=str(tmp_path / "c0v")))
+    assert not os.path.exists(tmp_path / "c0v")
 
 
 # ---------------------------------------------------------------------------

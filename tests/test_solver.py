@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import oracles
 from qcs import solver
 from qcs.embedding import build_embedding, vec4
 from qcs.errors import NonFiniteInput
-from qcs.harness import ExperimentConfig, _sample_problem
+from qcs.harness import PERFECT_THRESHOLD, SWEEP_SOLVER, ExperimentConfig, _sample_problem
 from qcs.qlinalg import QMatrix, QVector, lp_norm, matvec, support
 from qcs.random import (
     PURPOSE_MATRIX,
@@ -401,13 +402,17 @@ def test_one_imaginary_entry_takes_quaternion_path(monkeypatch, seed, m, n, s):
 # rho schedule: residual balancing settles after RHO_MAX_CHANGES changes
 
 
+# the solver profile a sweep solves with and the verdict it applies
+SWEEP = SimpleNamespace(solver=SWEEP_SOLVER, perfect_threshold=PERFECT_THRESHOLD)
+
+
 def sweep_trial(mode, m, s, base_seed):
     """Trial 0 of cell (m, s) of a sweep at n = 256, as the harness samples
-    and solves it."""
+    and solves it, with SWEEP."""
     config = ExperimentConfig(n=256, m_values=(m,), s_rule=(s,), trials=1,
                               base_seed=base_seed, scalar_mode=mode)
     Phi, x, y = _sample_problem(config, m, s, 0)
-    return RecoveryProblem(Phi=Phi, y=y, eta=config.eta), x, config
+    return RecoveryProblem(Phi=Phi, y=y, eta=config.eta), x, SWEEP
 
 
 # With a schedule that never settled, both trials ran to the sweep's
