@@ -269,9 +269,18 @@ def run_sweep(config: ExperimentConfig, verbose: bool = False) -> PhaseDiagram:
         # out_dir names the directory config.json sits in, so any spelling
         # of it (results, results/, ./results) is the same sweep; the stored
         # spelling is kept so summary.json still echoes config.json
-        if {**existing, "out_dir": None} != {**snapshot, "out_dir": None}:
-            raise ValueError(
-                f"{config_path} holds a different config; refusing to mix sweeps")
+        differ = sorted(k for k in existing.keys() | snapshot.keys() if k != "out_dir"
+                        and (k not in existing or k not in snapshot
+                             or existing[k] != snapshot[k]))
+        if differ:
+            message = (f"{config_path} holds a different config (keys that differ: "
+                       f"{', '.join(differ)}); refusing to mix sweeps")
+            unknown = sorted(existing.keys() - snapshot.keys())
+            if unknown:
+                message += (f"; schema {SCHEMA_VERSION} has no key {', '.join(unknown)}, "
+                            "so an older version wrote this directory: README.md's "
+                            "File formats section lists the migration steps")
+            raise ValueError(message)
         snapshot = existing
     else:
         # a crash mid-write leaves the temporary file, never a torn config.json
@@ -411,6 +420,18 @@ def run_c0_experiment(config: ExperimentConfig, verbose: bool = False) -> Scatte
 _RATIO_N = 8
 
 
+def _ks_distance_to_gamma(vals: np.ndarray, rate: float) -> float:
+    """scipy.stats.kstest's two-sided statistic of vals against
+    gamma(a=rate, scale=1/rate), whose cdf is gammainc(rate, x / scale).
+    scipy.stats would take most of a second and ~44 MB to import for it,
+    and scipy.special is imported here, as no other command needs it."""
+    from scipy.special import gammainc
+
+    n = len(vals)
+    F = gammainc(rate, np.sort(vals) / (1.0 / rate))
+    return max((np.arange(1.0, n + 1) / n - F).max(), (F - np.arange(0.0, n) / n).max())
+
+
 def run_ratio_test(m: int, samples: int, base_seed: int = 0,
                    mode: str = "quaternion") -> dict:
     """Empirical law of ||Phi x||^2 / ||x||^2 for a fixed unit x of length 8
@@ -425,10 +446,6 @@ def run_ratio_test(m: int, samples: int, base_seed: int = 0,
     samples = check_number(samples, "samples", int, 1000)
     if mode not in qrandom.GROUP_SIZES:
         raise ValueError(f"mode must be {'|'.join(qrandom.GROUP_SIZES)}, got {mode!r}")
-    # scipy.stats takes most of a second to import and only the KS
-    # distance below uses it
-    from scipy import stats
-
     group = qrandom.GROUP_SIZES[mode]
     x_rng = qrandom.trial_stream(base_seed, qrandom.PURPOSE_RATIO, m, 0, 0)
     phi_rng = qrandom.trial_stream(base_seed, qrandom.PURPOSE_RATIO, m, 0, 1)
@@ -445,8 +462,7 @@ def run_ratio_test(m: int, samples: int, base_seed: int = 0,
     vals = np.concatenate([chunk(min(samples - done, 4096))
                            for done in range(0, samples, 4096)])
 
-    rate = group * m / 2
-    ks = stats.kstest(vals, stats.gamma(a=rate, scale=1.0 / rate).cdf).statistic
+    ks = _ks_distance_to_gamma(vals, group * m / 2)
     return {"m": m, "samples": samples, "mode": mode,
             "mean": float(np.mean(vals)),
             "variance": float(np.var(vals, ddof=1)),

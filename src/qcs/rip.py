@@ -8,7 +8,9 @@ Phi_S* Phi_S - Id is a principal submatrix of the size-s version, and
 Hermitian principal submatrices never increase the operator norm.
 
 All spectral work happens on the 2n x 2n complex adjoint of the Gram
-residual, computed once and sliced per support.
+residual, computed once. The enumeration streams the supports in chunks
+of at most CHUNK_BYTES of gathered 2s x 2s submatrices and calls
+eigvalsh once per chunk, so its memory grows with neither C(n, s) nor s.
 
 The sampled tools, sampled_delta_lower_bound and check_rip_ip, draw
 through one helper, _sparse_images: uniform supports from one random
@@ -23,7 +25,7 @@ import math
 import time
 import warnings
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -35,6 +37,8 @@ from .random import PURPOSE_RIP, RngStream, derive_stream_id, field_normals
 DELTA_FLOOR = 1e-14
 DEFAULT_BUDGET = 2_000_000
 SQRT2 = math.sqrt(2.0)
+# the most bytes of stacked Gram submatrices exact_delta gathers at once
+CHUNK_BYTES = 32 << 20
 
 
 class RipMethod(enum.Enum):
@@ -68,22 +72,26 @@ def _gram_residual_adjoint(Phi: QMatrix) -> np.ndarray:
     return chi
 
 
-def _support_opnorm(chi: np.ndarray, S: tuple[int, ...]) -> float:
-    rows = np.array([(2 * i, 2 * i + 1) for i in S]).reshape(-1)
-    w = np.linalg.eigvalsh(chi[np.ix_(rows, rows)])
-    return float(max(-w[0], w[-1]) + 0.0)
-
-
 def _enumerate_delta(chi: np.ndarray, n: int, s: int) -> tuple[float, tuple[int, ...], int]:
+    """(max over size-s supports S of ||chi_S||, the first S attaining it,
+    the number of supports), one stacked eigvalsh per chunk of supports.
+    chi_S is the 2s x 2s principal submatrix on rows 2i, 2i+1 for i in S."""
+    per_chunk = max(1, CHUNK_BYTES // (chi.itemsize * (2 * s) ** 2))
+    supports = combinations(range(n), s)
     best = -1.0
     best_S: tuple[int, ...] = tuple(range(s))
     count = 0
-    for S in combinations(range(n), s):
-        val = _support_opnorm(chi, S)
-        count += 1
-        if val > best:
-            best, best_S = val, S
-    return best, best_S, count
+    while True:
+        S = np.fromiter(islice(supports, per_chunk), dtype=np.dtype((np.intp, s)))
+        if not len(S):
+            return best, best_S, count
+        rows = (2 * S[:, :, None] + np.arange(2)).reshape(len(S), 2 * s)
+        w = np.linalg.eigvalsh(chi[rows[:, :, None], rows[:, None, :]])
+        vals = np.maximum(-w[:, 0], w[:, -1]) + 0.0
+        k = int(np.argmax(vals))
+        if vals[k] > best:
+            best, best_S = float(vals[k]), tuple(int(i) for i in S[k])
+        count += len(S)
 
 
 def exact_delta(Phi: QMatrix, s: int, budget: int = DEFAULT_BUDGET) -> RipReport:

@@ -350,6 +350,9 @@ def _polish_candidate(A: np.ndarray, b: np.ndarray, eta: float, v_half: np.ndarr
         return None
     keep = np.nonzero(gnorm > threshold * gmax)[0]
     slots = (group * keep[:, None] + np.arange(group)[None, :]).reshape(-1)
+    if len(slots) > A.shape[0]:
+        # more unknowns than rows: the rank is below the column count
+        return None
     A_S = A[:, slots]
     w, _, rank, _ = np.linalg.lstsq(A_S, b, rcond=None)
     if rank < A_S.shape[1]:

@@ -6,7 +6,9 @@ a basis table, the real embedding from a hand-written left-multiplication
 block, operator norms from power iteration, and minimizers from support
 enumeration or, for real basis pursuit, from an exact linear program.
 The reference ADMM iteration is the allocating form of the solver's
-in-place step, one fresh array per operation, for bit-for-bit checks.
+in-place step, one fresh array per operation, and the reference RIP
+enumeration runs one eigensolve per support; both are for bit-for-bit
+checks.
 """
 from __future__ import annotations
 
@@ -120,6 +122,24 @@ def ref_best_s_sparse(x: QVector, s: int) -> QVector:
             best_err = err
             best = cand
     return QVector(best)
+
+
+def ref_enumerate_delta(chi: np.ndarray, n: int, s: int) -> tuple[float, tuple[int, ...], int]:
+    """The per-support loop rip._enumerate_delta stacks: one eigvalsh per
+    size-s support S of the 2s x 2s principal submatrix of chi on rows
+    2i, 2i+1 for i in S. Returns (the largest |eigenvalue|, the first S
+    attaining it, the number of supports)."""
+    best = -1.0
+    best_S: tuple[int, ...] = tuple(range(s))
+    count = 0
+    for S in itertools.combinations(range(n), s):
+        rows = np.array([(2 * i, 2 * i + 1) for i in S]).reshape(-1)
+        w = np.linalg.eigvalsh(chi[np.ix_(rows, rows)])
+        val = float(max(-w[0], w[-1]) + 0.0)
+        count += 1
+        if val > best:
+            best, best_S = val, S
+    return best, best_S, count
 
 
 def brute_force_min_l1(Phi: QMatrix, y: QVector, max_support: int,

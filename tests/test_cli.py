@@ -361,6 +361,36 @@ def test_sweep_refuses_a_schema_3_directory_cleanly(capsys, tmp_path):
     assert (out_dir / "records.jsonl").read_bytes() == records
 
 
+def test_the_drift_guard_names_the_keys_that_differ(capsys, tmp_path):
+    out_dir = tmp_path / "o"
+    argv = ["sweep", "--n", "12", "--m", "6", "--s", "1", "--trials", "2",
+            "--out", str(out_dir)]
+    assert run_cli(capsys, argv)[0] == 0
+    config_path = out_dir / "config.json"
+    config = json.loads(config_path.read_text())
+    differ = f"{config_path} holds a different config (keys that differ:"
+    # a sweep started with other settings
+    config_path.write_text(json.dumps({**config, "trials": 3}))
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "ValueError",
+                               "message": f"{differ} trials); refusing to mix sweeps"}
+    # a schema-3 directory, whose two keys schema 4 does not know
+    config_path.write_text(json.dumps({**config, **SCHEMA_3_KEYS}))
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {
+        "error": "ValueError",
+        "message": f"{differ} perfect_threshold, solver); refusing to mix sweeps; "
+                   "schema 4 has no key perfect_threshold, solver, so an older "
+                   "version wrote this directory: README.md's File formats section "
+                   "lists the migration steps"}
+    # the section it points to holds the steps
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
+        formats = fh.read().split("\n## File formats\n")[1].split("\n## ")[0]
+    assert "apply each step from its `schema_version` on" in formats
+
+
 def test_sweep_refuses_a_config_json_that_is_not_an_object(capsys, tmp_path):
     out_dir = tmp_path / "o"
     argv = ["sweep", "--n", "12", "--m", "6", "--s", "1", "--trials", "2",

@@ -2,13 +2,15 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from qcs import harness, solver
 from qcs import random as qrandom
-from qcs import solver
 from qcs.errors import IoFailure
 from qcs.harness import (
     PERFECT_THRESHOLD,
@@ -388,6 +390,39 @@ def test_ratio_test_replays_through_matvec(mode):
         vals += [lp_norm(matvec(Phi, x), 2) ** 2 for Phi in mats]
     assert abs(out["mean"] - np.mean(vals)) <= 1e-12
     assert abs(out["variance"] - np.var(vals, ddof=1)) <= 1e-12
+
+
+@pytest.mark.parametrize("m, mode", [(1, "real"), (3, "quaternion"), (8, "real"),
+                                     (16, "quaternion"), (24, "real")])
+def test_ratio_ks_distance_is_scipy_kstest(monkeypatch, m, mode):
+    from scipy import stats
+
+    ks_distance_to_gamma = harness._ks_distance_to_gamma
+    seen = []
+
+    def keep(vals, rate):
+        seen.append((vals, rate))
+        return ks_distance_to_gamma(vals, rate)
+
+    monkeypatch.setattr(harness, "_ks_distance_to_gamma", keep)
+    out = run_ratio_test(m, 1500, base_seed=m, mode=mode)
+    [(vals, rate)] = seen
+    assert rate == qrandom.GROUP_SIZES[mode] * m / 2
+    # against the law it is drawn from, a law it is not drawn from, and
+    # samples with ties
+    for data, a in ((vals, rate), (vals, 2.0 * rate), (np.round(vals, 1), rate)):
+        want = stats.kstest(data, stats.gamma(a=a, scale=1.0 / a).cdf).statistic
+        assert ks_distance_to_gamma(data, a) == want
+    assert out["ks_distance_to_gamma"] == ks_distance_to_gamma(vals, rate)
+
+
+def test_ratio_test_does_not_load_scipy_stats():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
+    probe = ("import sys; from qcs.harness import run_ratio_test; "
+             "run_ratio_test(4, 1000); print('scipy.stats' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+                         check=True, capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_ratio_test_validation():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
+from qcs import rip
 from qcs.errors import BudgetExceeded, ConditionViolated, DegenerateDelta
 from qcs.qlinalg import (
     QMatrix,
@@ -118,6 +119,41 @@ def test_real_matrix_consistency():
         G = A[:, S].T @ A[:, S] - np.eye(2)
         want = max(want, float(np.abs(np.linalg.eigvalsh(G)).max()))
     assert abs(got - want) < 1e-10
+
+
+def chunk_of(supports, s):
+    """A CHUNK_BYTES that stacks this many supports of size s per eigvalsh."""
+    return supports * 16 * (2 * s) ** 2
+
+
+@pytest.mark.parametrize("group, m, n", [(4, 5, 9), (1, 6, 10)])
+@pytest.mark.parametrize("s", [1, 2, 3, 4])
+@pytest.mark.parametrize("per_chunk", [None, 1, 7])
+def test_stacked_enumeration_matches_the_per_support_loop(monkeypatch, group, m, n, s,
+                                                          per_chunk):
+    # bit for bit: delta, the first support attaining it and the count, with
+    # the default chunk and with chunks that the supports cross
+    if per_chunk is not None:
+        monkeypatch.setattr(rip, "CHUNK_BYTES", chunk_of(per_chunk, s))
+    rng = RngStream(0, derive_stream_id(PURPOSE_RIP, m, s, group))
+    Phi = sample_gaussian_matrix(rng, m, n, 1.0 / m, group)
+    want = oracles.ref_enumerate_delta(rip._gram_residual_adjoint(Phi), n, s)
+    rep = exact_delta(Phi, s)
+    assert (rep.delta, rep.argmax_support.indices, rep.supports_examined) == want
+    assert type(rep.delta) is float
+
+
+@pytest.mark.parametrize("per_chunk", [None, 1, 2, 4])
+def test_tied_supports_report_the_first(monkeypatch, per_chunk):
+    if per_chunk is not None:
+        monkeypatch.setattr(rip, "CHUNK_BYTES", chunk_of(per_chunk, 1))
+    # orthonormal columns tie every support at delta = 0
+    rep = exact_delta(QMatrix.identity(6), 3)
+    assert (rep.delta, rep.argmax_support.indices) == (0.0, (0, 1, 2))
+    # columns 2 and 4 of norm 2 tie at delta_1 = 3, in one chunk or two
+    Phi = QMatrix.from_real(np.diag([1.0, 1.0, 2.0, 1.0, 2.0, 1.0]))
+    rep = exact_delta(Phi, 1)
+    assert (rep.delta, rep.argmax_support.indices) == (3.0, (2,))
 
 
 # ---------------------------------------------------------------------------

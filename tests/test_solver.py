@@ -306,6 +306,25 @@ def test_duplicate_column_instance_stays_feasible():
     assert res.objective <= 1.0 + 1e-7
 
 
+@pytest.mark.parametrize("group, kept", [(1, 5), (4, 2), (1, 4), (4, 1)])
+def test_polish_refuses_a_support_wider_than_the_rows(monkeypatch, group, kept):
+    # more kept slots (g * kept) than the 4 rows make the restricted system
+    # rank-deficient, so least squares is not run; up to 4 slots it is
+    def refuse(*args, **kwargs):
+        raise AssertionError("lstsq ran")
+
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    A = np.random.default_rng(group).standard_normal((4, 12 * group))
+    v = np.zeros(12 * group)
+    v[:group * kept] = 1.0
+    if group * kept > 4:
+        assert solver._polish_candidate(A, A @ v, 0.0, v, solver.POLISH_THRESHOLD,
+                                        group) is None
+    else:
+        with pytest.raises(AssertionError, match="lstsq ran"):
+            solver._polish_candidate(A, A @ v, 0.0, v, solver.POLISH_THRESHOLD, group)
+
+
 def test_trace_file():
     Phi, x, y = sparse_instance(9, 4, 6, 1)
     rows = []
