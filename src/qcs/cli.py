@@ -17,7 +17,7 @@ import json
 import os
 import sys
 
-from . import harness, qlinalg, rip
+from . import harness, qlinalg, rip, solver
 from . import random as qrandom
 from .errors import QcsError
 from .solver import RecoveryProblem, SolverParams, solve
@@ -89,8 +89,14 @@ def cmd_recover(args) -> int:
             trace = csv.writer(fh)
             trace.writerow(["iteration", "primal_residual", "dual_residual",
                             "objective", "rho"])
-            result = solve(problem, params,
-                           lambda it, *values: trace.writerow([it, *map(repr, values)]))
+
+            def write_row(state: solver.AdmmState) -> None:
+                primal, dual, _, _ = solver.residuals(state)
+                objective = solver.group_l1(state.v_half, state.group)
+                trace.writerow([state.iteration,
+                                *map(repr, (primal, dual, objective, state.rho))])
+
+            result = solve(problem, params, write_row)
     record = {
         "status": result.status.value,
         "iterations": result.iterations,

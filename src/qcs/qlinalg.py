@@ -16,7 +16,6 @@ scalars multiply coordinates on the right.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 
@@ -460,19 +459,3 @@ def load_json(path):
         # a field of the wrong JSON type, such as "shape": [null, 2]
         raise ValueError(f"malformed {kind} payload in {path}: {exc}") from exc
 
-
-def qmatrix_to_csv(A: QMatrix, path) -> None:
-    """One CSV row per matrix row; 4 columns (a, b, c, d) per entry."""
-    m, n = A.shape
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for i in range(m):
-            writer.writerow(repr(float(v)) for v in A.data[i].reshape(4 * n))
-
-
-def qvector_to_csv(x: QVector, path) -> None:
-    """One CSV row per coordinate: a, b, c, d."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in x.data:
-            writer.writerow(repr(float(v)) for v in row)

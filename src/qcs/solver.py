@@ -53,8 +53,10 @@ of the solve. ADMM with a varying penalty is only known to converge
 when the penalty is constant in the end (Boyd et al. 2011, section
 3.4.1; He, Yang & Wang 2000); a schedule that never settles keeps
 throwing the iterate back out, and many trials then run to max_iters.
-solve does no I/O; a caller that wants per-iteration diagnostics passes
-on_iteration.
+solve does no I/O; a caller that watches a solve passes on_iteration,
+which receives the AdmmState after every iteration (and must copy any
+array it keeps, as above). After solve returns, that state still holds
+the final rho and rho_changes.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .embedding import build_embedding, unvec4
-from .errors import NonFiniteInput, check_number
+from .errors import DimensionMismatch, NonFiniteInput, check_number
 from .qlinalg import QMatrix, QVector, lp_norm
 
 RHO_INIT = 1.0
@@ -107,7 +109,7 @@ class RecoveryProblem:
     def __post_init__(self):
         m, n = self.Phi.shape
         if len(self.y) != m:
-            raise ValueError(f"y has length {len(self.y)}, Phi has {m} rows")
+            raise DimensionMismatch(f"y has length {len(self.y)}, Phi has {m} rows")
         object.__setattr__(self, "eta", check_number(self.eta, "eta", low=0.0))
         for name, data in (("Phi", self.Phi.data), ("y", self.y.data)):
             if not np.isfinite(data).all():
@@ -134,10 +136,6 @@ class SolveResult:
     objective: float
     polished: bool
     status: SolveStatus
-    # rho at the end of the solve, and the number of residual-balancing
-    # updates; at RHO_MAX_CHANGES the bound, not the residuals, stopped them
-    rho: float
-    rho_changes: int
 
 
 def block_soft_threshold(v: np.ndarray, kappa: float, out: np.ndarray | None = None,
@@ -224,6 +222,9 @@ class AdmmState:
     b: np.ndarray
     eta: float
     rho: float
+    # residual-balancing updates of rho so far; at RHO_MAX_CHANGES the
+    # bound, not the residuals, stopped them
+    rho_changes: int
     half: Stacked        # (v_half, u_half)
     proj: Stacked        # (v_proj, u_proj), the last projected point
     spare: Stacked       # where the next projection goes; swapped with proj
@@ -266,8 +267,8 @@ def init_admm_state(projector: GraphProjector, b: np.ndarray, eta: float,
         half.u[:] = b  # C = {b}: u_half is b in every iteration
     scale = np.zeros((cols // group, 1))
     return AdmmState(projector=projector, group=group, b=b, eta=float(eta),
-                     rho=float(rho), half=half, proj=proj, spare=spare, lam=lam,
-                     work=work, A_v_half=np.zeros(rows),
+                     rho=float(rho), rho_changes=0, half=half, proj=proj,
+                     spare=spare, lam=lam, work=work, A_v_half=np.zeros(rows),
                      r=np.zeros(rows), scale=scale,
                      live=np.zeros(scale.shape, dtype=bool))
 
@@ -333,7 +334,7 @@ def residuals(state: AdmmState) -> tuple[float, float, float, float]:
     return primal, dual, primal_scale, dual_scale / state.rho
 
 
-def _group_l1(v_flat: np.ndarray, group: int) -> float:
+def group_l1(v_flat: np.ndarray, group: int) -> float:
     groups = v_flat.reshape(-1, group)
     return float(np.sqrt(np.sum(groups * groups, axis=1)).sum())
 
@@ -361,20 +362,21 @@ def _polish_candidate(A: np.ndarray, b: np.ndarray, eta: float, v_half: np.ndarr
     z[slots] = w
     if float(np.linalg.norm(A @ z - b)) > eta + POLISH_FEAS_SLACK:
         return None
-    if _group_l1(z, group) > _group_l1(v_half, group) + POLISH_OBJ_SLACK:
+    if group_l1(z, group) > group_l1(v_half, group) + POLISH_OBJ_SLACK:
         return None
     return z
 
 
 def solve(problem: RecoveryProblem, params: SolverParams | None = None,
-          on_iteration: Callable[[int, float, float, float, float], None] | None = None,
+          on_iteration: Callable[[AdmmState], None] | None = None,
           ) -> SolveResult:
     """ADMM to the tolerance or max_iters, then the infeasibility check
     and the support polish.
 
-    on_iteration, when given, is called after every iteration with
-    (iteration, primal residual, dual residual, group-l1 objective of
-    v_half, rho), rho being the value that iteration used.
+    on_iteration, when given, gets the AdmmState after every iteration,
+    before the rho update, so state.rho is the value that iteration used;
+    its return value is ignored. The next step overwrites every array of
+    the state.
     """
     if params is None:
         params = SolverParams()
@@ -390,26 +392,24 @@ def solve(problem: RecoveryProblem, params: SolverParams | None = None,
 
     converged = False
     r_pri = r_dual = math.inf
-    rho_changes = 0
     for _ in range(params.max_iters):
         admm_step(state)
         r_pri, r_dual, s_pri, s_dual = residuals(state)
         if on_iteration is not None:
-            on_iteration(state.iteration, r_pri, r_dual,
-                         _group_l1(state.v_half, group), state.rho)
+            on_iteration(state)
         eps_pri = params.tol * (root_pri + max(s_pri, norm_b))
         eps_dual = params.tol * (root_dual + s_dual)
         if r_pri <= eps_pri and r_dual <= eps_dual:
             converged = True
             break
-        if rho_changes == RHO_MAX_CHANGES:
+        if state.rho_changes == RHO_MAX_CHANGES:
             continue  # the schedule has settled
         if r_pri > RHO_TRIGGER * r_dual:
             state.rho *= RHO_FACTOR
-            rho_changes += 1
+            state.rho_changes += 1
         elif r_dual > RHO_TRIGGER * r_pri:
             state.rho /= RHO_FACTOR
-            rho_changes += 1
+            state.rho_changes += 1
 
     if converged:
         status = SolveStatus.CONVERGED
@@ -433,7 +433,7 @@ def solve(problem: RecoveryProblem, params: SolverParams | None = None,
     return SolveResult(x_hat=x_hat, iterations=state.iteration,
                        primal_residual=r_pri, dual_residual=r_dual,
                        objective=lp_norm(x_hat, 1), polished=polished,
-                       status=status, rho=state.rho, rho_changes=rho_changes)
+                       status=status)
 
 
 def _real_form(problem: RecoveryProblem) -> tuple[np.ndarray, np.ndarray, int]:

@@ -219,6 +219,7 @@ class RefAdmmState:
     b: np.ndarray
     eta: float
     rho: float
+    rho_changes: int
     v_half: np.ndarray
     u_half: np.ndarray
     v_proj: np.ndarray
@@ -236,8 +237,8 @@ def ref_init_admm_state(projector, b, eta, rho, group) -> RefAdmmState:
     z_v, z_u = np.zeros(cols), np.zeros(rows)
     return RefAdmmState(A=projector.A, M=projector.M, group=group,
                         b=np.asarray(b, dtype=np.float64), eta=float(eta),
-                        rho=float(rho), v_half=z_v, u_half=z_u, v_proj=z_v,
-                        u_proj=z_u, lam_v=z_v, lam_u=z_u, A_v_half=z_u)
+                        rho=float(rho), rho_changes=0, v_half=z_v, u_half=z_u,
+                        v_proj=z_v, u_proj=z_u, lam_v=z_v, lam_u=z_u, A_v_half=z_u)
 
 
 def ref_block_soft_threshold(v: np.ndarray, kappa: float) -> np.ndarray:

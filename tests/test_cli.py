@@ -15,7 +15,7 @@ import oracles
 import qcs
 from qcs import solver
 from qcs.cli import build_config, build_parser, main
-from qcs.qlinalg import load_json, matvec, save_json
+from qcs.qlinalg import QVector, load_json, matvec, save_json
 from qcs.random import (
     GROUP_SIZES,
     RngStream,
@@ -119,6 +119,16 @@ def test_recover_rejects_non_finite_input(capsys, instance_files, tmp_path,
     assert code == 1
     assert out == ""
     assert json.loads(err)["error"] == "NonFiniteInput"
+
+
+def test_recover_rejects_a_y_of_the_wrong_length(capsys, instance_files, tmp_path):
+    _, phi, y, _ = instance_files
+    short = tmp_path / "short_y.json"
+    save_json(QVector(load_json(y).data[:-1]), short)
+    code, out, err = run_cli(capsys, ["recover", "--phi", phi, "--y", str(short)])
+    assert (code, out, len(err.splitlines())) == (1, "", 1)
+    assert json.loads(err) == {"error": "DimensionMismatch",
+                               "message": "y has length 5, Phi has 6 rows"}
 
 
 @pytest.mark.parametrize("argv", [

@@ -23,13 +23,11 @@ from qcs.qlinalg import (
     matmul,
     matvec,
     qmatrix_from_json,
-    qmatrix_to_csv,
     qmatrix_to_json,
     quat_abs_arrays,
     quat_conj_arrays,
     quat_mul_arrays,
     qvector_from_json,
-    qvector_to_csv,
     qvector_to_json,
     restrict,
     save_json,
@@ -397,18 +395,3 @@ def test_matrix_json_file_roundtrip(tmp_path, np_rng):
     bad.write_text('{"kind": "mystery"}')
     with pytest.raises(ValueError):
         load_json(bad)
-
-
-def test_csv_roundtrip_exact(tmp_path, np_rng):
-    A = rand_qmatrix(np_rng, 2, 3)
-    x = rand_qvector(np_rng, 4)
-    pa = tmp_path / "a.csv"
-    px = tmp_path / "x.csv"
-    qmatrix_to_csv(A, pa)
-    qvector_to_csv(x, px)
-    rows = [line.split(",") for line in pa.read_text().strip().splitlines()]
-    got = np.array([[float(v) for v in r] for r in rows]).reshape(2, 3, 4)
-    assert np.array_equal(got, A.data)
-    vrows = [line.split(",") for line in px.read_text().strip().splitlines()]
-    vgot = np.array([[float(v) for v in r] for r in vrows])
-    assert np.array_equal(vgot, x.data)

@@ -1,6 +1,5 @@
 import dataclasses
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,7 +7,7 @@ import pytest
 import oracles
 from qcs import solver
 from qcs.embedding import build_embedding, vec4
-from qcs.errors import NonFiniteInput
+from qcs.errors import DimensionMismatch, NonFiniteInput
 from qcs.harness import PERFECT_THRESHOLD, SWEEP_SOLVER, ExperimentConfig, _sample_problem
 from qcs.qlinalg import QMatrix, QVector, lp_norm, matvec, support
 from qcs.random import (
@@ -111,7 +110,7 @@ def test_solver_params_validation():
 def test_problem_validation():
     Phi, x, y = sparse_instance(0, 4, 6, 1)
     RecoveryProblem(Phi=Phi, y=y, eta=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(DimensionMismatch):
         RecoveryProblem(Phi=Phi, y=QVector.zeros(5), eta=0.0)
     for eta in (-0.1, math.nan, math.inf, True, "0.1", None, np.float64(-1.0)):
         with pytest.raises(ValueError):
@@ -325,11 +324,22 @@ def test_polish_refuses_a_support_wider_than_the_rows(monkeypatch, group, kept):
             solver._polish_candidate(A, A @ v, 0.0, v, solver.POLISH_THRESHOLD, group)
 
 
+def solve_watched(problem, params=None):
+    """solve, and the AdmmState that on_iteration received: one object,
+    passed once per iteration."""
+    seen = []
+    res = solve(problem, params, on_iteration=seen.append)
+    assert len(seen) == res.iterations
+    assert all(state is seen[0] for state in seen)
+    return res, seen[0]
+
+
 def test_trace_file():
     Phi, x, y = sparse_instance(9, 4, 6, 1)
     rows = []
     res = solve(RecoveryProblem(Phi=Phi, y=y, eta=0.0), SolverParams(),
-                on_iteration=lambda *row: rows.append(row))
+                on_iteration=lambda state: rows.append((state.iteration,
+                                                        *residuals(state)[:2])))
     assert len(rows) == res.iterations
     assert rows[0][0] == 1
     # residual columns are finite floats
@@ -421,17 +431,14 @@ def test_one_imaginary_entry_takes_quaternion_path(monkeypatch, seed, m, n, s):
 # rho schedule: residual balancing settles after RHO_MAX_CHANGES changes
 
 
-# the solver profile a sweep solves with and the verdict it applies
-SWEEP = SimpleNamespace(solver=SWEEP_SOLVER, perfect_threshold=PERFECT_THRESHOLD)
-
-
 def sweep_trial(mode, m, s, base_seed):
     """Trial 0 of cell (m, s) of a sweep at n = 256, as the harness samples
-    and solves it, with SWEEP."""
+    it: (problem, x). The harness solves it with SWEEP_SOLVER and calls it
+    perfect within PERFECT_THRESHOLD."""
     config = ExperimentConfig(n=256, m_values=(m,), s_rule=(s,), trials=1,
                               base_seed=base_seed, scalar_mode=mode)
     Phi, x, y = _sample_problem(config, m, s, 0)
-    return RecoveryProblem(Phi=Phi, y=y, eta=config.eta), x, SWEEP
+    return RecoveryProblem(Phi=Phi, y=y, eta=config.eta), x
 
 
 # With a schedule that never settled, both trials ran to the sweep's
@@ -441,36 +448,36 @@ def sweep_trial(mode, m, s, base_seed):
 @pytest.mark.parametrize("mode, m, s, base_seed",
                          [("quaternion", 8, 1, 2), ("real", 32, 4, 0)])
 def test_capped_trials_converge_once_rho_settles(mode, m, s, base_seed):
-    problem, x, config = sweep_trial(mode, m, s, base_seed)
-    res = solve(problem, config.solver)
+    problem, x = sweep_trial(mode, m, s, base_seed)
+    res, state = solve_watched(problem, SWEEP_SOLVER)
     assert res.status is SolveStatus.CONVERGED
-    assert res.rho_changes <= solver.RHO_MAX_CHANGES
+    assert state.rho_changes <= solver.RHO_MAX_CHANGES
     # both verdicts are now success; for R the exact LP must agree
-    assert lp_norm(res.x_hat - x, 2) <= config.perfect_threshold
+    assert lp_norm(res.x_hat - x, 2) <= PERFECT_THRESHOLD
     if mode == "real":
         z = oracles.lp_min_l1(problem.Phi.data[..., 0], problem.y.data[:, 0])
-        assert np.linalg.norm(z - x.data[:, 0]) <= config.perfect_threshold
+        assert np.linalg.norm(z - x.data[:, 0]) <= PERFECT_THRESHOLD
 
 
 # A recoverable trial that the sweep profile caps even with a settled rho:
 # the exact LP returns x, and twice the sweep's 3000 iterations reach it.
 def test_capped_recoverable_trial_converges_with_more_iterations():
-    problem, x, config = sweep_trial("real", 32, 4, 7)
+    problem, x = sweep_trial("real", 32, 4, 7)
     z = oracles.lp_min_l1(problem.Phi.data[..., 0], problem.y.data[:, 0])
-    assert np.linalg.norm(z - x.data[:, 0]) <= config.perfect_threshold
-    res = solve(problem, dataclasses.replace(config.solver, max_iters=6000))
+    assert np.linalg.norm(z - x.data[:, 0]) <= PERFECT_THRESHOLD
+    res = solve(problem, dataclasses.replace(SWEEP_SOLVER, max_iters=6000))
     assert res.status is SolveStatus.CONVERGED
-    assert res.iterations > config.solver.max_iters
-    assert lp_norm(res.x_hat - x, 2) <= config.perfect_threshold
+    assert res.iterations > SWEEP_SOLVER.max_iters
+    assert lp_norm(res.x_hat - x, 2) <= PERFECT_THRESHOLD
 
 
 @pytest.mark.xfail(strict=True, reason="the sweep profile caps this recoverable trial "
-                   "at 3000 iterations (err_l2 9.2e-4); ROADMAP direction 2's "
-                   "certificate would decide it without the iteration budget")
+                   "at 3000 iterations (err_l2 9.2e-4); ROADMAP direction 3 (the "
+                   "success certificate and a budget past the cap) would decide it")
 def test_sweep_profile_recovers_capped_recoverable_trial():
-    problem, x, config = sweep_trial("real", 32, 4, 7)
-    res = solve(problem, config.solver)
-    assert lp_norm(res.x_hat - x, 2) <= config.perfect_threshold
+    problem, x = sweep_trial("real", 32, 4, 7)
+    res = solve(problem, SWEEP_SOLVER)
+    assert lp_norm(res.x_hat - x, 2) <= PERFECT_THRESHOLD
 
 
 # Converging benchmark cells use few changes of rho (these two: 2 and 7;
@@ -479,16 +486,18 @@ def test_sweep_profile_recovers_capped_recoverable_trial():
 @pytest.mark.parametrize("mode, m, s, base_seed",
                          [("quaternion", 32, 9, 0), ("quaternion", 8, 2, 0)])
 def test_converged_trials_do_not_reach_the_bound(monkeypatch, mode, m, s, base_seed):
-    problem, _, config = sweep_trial(mode, m, s, base_seed)
-    bounded = solve(problem, config.solver)
+    problem, _ = sweep_trial(mode, m, s, base_seed)
+    bounded, bounded_state = solve_watched(problem, SWEEP_SOLVER)
     assert bounded.status is SolveStatus.CONVERGED
-    assert bounded.rho_changes < solver.RHO_MAX_CHANGES
+    assert bounded_state.rho_changes < solver.RHO_MAX_CHANGES
     monkeypatch.setattr(solver, "RHO_MAX_CHANGES", 10 ** 9)
-    unbounded = solve(problem, config.solver)
+    unbounded, unbounded_state = solve_watched(problem, SWEEP_SOLVER)
     assert np.array_equal(bounded.x_hat.data, unbounded.x_hat.data)
     for name in ("iterations", "primal_residual", "dual_residual", "objective",
-                 "polished", "status", "rho", "rho_changes"):
+                 "polished", "status"):
         assert getattr(bounded, name) == getattr(unbounded, name)
+    for name in ("rho", "rho_changes"):
+        assert getattr(bounded_state, name) == getattr(unbounded_state, name)
 
 
 # The state carries A v_half for the termination check, and the
@@ -498,15 +507,10 @@ def test_converged_trials_do_not_reach_the_bound(monkeypatch, mode, m, s, base_s
 # about 2560 iterations) both must hold to rounding.
 @pytest.mark.parametrize("mode, m, s, base_seed",
                          [("real", 32, 4, 7), ("quaternion", 4, 1, 0)])
-def test_carried_products_do_not_drift(monkeypatch, mode, m, s, base_seed):
-    problem, _, config = sweep_trial(mode, m, s, base_seed)
-    states = []
-    init = solver.init_admm_state
-    monkeypatch.setattr(solver, "init_admm_state",
-                        lambda *args: states.append(init(*args)) or states[-1])
-    res = solve(problem, config.solver)
+def test_carried_products_do_not_drift(mode, m, s, base_seed):
+    problem, _ = sweep_trial(mode, m, s, base_seed)
+    res, state = solve_watched(problem, SWEEP_SOLVER)
     assert res.iterations > 2500
-    state, = states
     A = state.projector.A
     direct = A @ state.v_half
     assert np.linalg.norm(state.A_v_half - direct) <= 1e-13 * np.linalg.norm(direct)
@@ -515,13 +519,28 @@ def test_carried_products_do_not_drift(monkeypatch, mode, m, s, base_seed):
 
 
 def test_rho_stops_changing_at_the_bound():
-    problem, _, config = sweep_trial("quaternion", 8, 1, 2)
-    rhos = []
-    res = solve(problem, config.solver,
-                on_iteration=lambda it, pri, dual, obj, rho: rhos.append(rho))
+    # the hook runs before the rho update, so from one call to the next rho
+    # moves by the balancing rule applied to the first call's residuals,
+    # until the bound holds it
+    problem, _ = sweep_trial("quaternion", 8, 1, 2)
+    states, rows = [], []
+
+    def watch(state):
+        states.append(state)
+        rows.append((state.rho, *residuals(state)[:2], state.rho_changes))
+
+    solve(problem, SWEEP_SOLVER, on_iteration=watch)
+    state = states[-1]
+    rhos = [row[0] for row in rows]
     changes = [k for k in range(1, len(rhos)) if rhos[k] != rhos[k - 1]]
-    assert len(changes) == res.rho_changes == solver.RHO_MAX_CHANGES
-    assert rhos[-1] == res.rho
+    assert len(changes) == state.rho_changes == solver.RHO_MAX_CHANGES
+    assert rhos[-1] == state.rho
+    for (rho, pri, dual, n_changes), (next_rho, *_) in zip(rows, rows[1:]):
+        if n_changes < solver.RHO_MAX_CHANGES and pri > solver.RHO_TRIGGER * dual:
+            rho *= solver.RHO_FACTOR
+        elif n_changes < solver.RHO_MAX_CHANGES and dual > solver.RHO_TRIGGER * pri:
+            rho /= solver.RHO_FACTOR
+        assert next_rho == rho
 
 
 # ---------------------------------------------------------------------------
@@ -571,21 +590,13 @@ def test_solve_result_does_not_alias_the_state():
     # x_hat is a copy, so a state that iterates on after the solve leaves
     # the result as it was
     Phi, _, y = sparse_instance(13, 5, 10, 2)
-    states = []
-    init = solver.init_admm_state
-
-    def keep(*args):
-        states.append(init(*args))
-        return states[-1]
-
     for polished in (False, True):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(solver, "init_admm_state", keep)
             if not polished:
                 patch.setattr(solver, "_polish_candidate", lambda *args: None)
-            res = solve(RecoveryProblem(Phi=Phi, y=y, eta=0.0))
+            res, state = solve_watched(RecoveryProblem(Phi=Phi, y=y, eta=0.0))
         assert res.polished is polished
         before = res.x_hat.data.copy()
         for _ in range(5):
-            admm_step(states[-1])
+            admm_step(state)
         assert np.array_equal(res.x_hat.data, before)
