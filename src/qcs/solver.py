@@ -38,12 +38,25 @@ stacked as z = (v, u), cols + rows slots, for the half step, the
 projected point (two buffers, swapped each iteration), the unscaled dual
 and the scratch, so the dual update, the step and the dual scale are
 one in-place ufunc each over z; A v_half, r and the shrink factors have
-buffers of their own. admm_step then allocates nothing. It does the
-float operations of the allocating form (kept in tests/oracles.py as
-the reference) in the same order, so its results are the same bits.
-Every array of an AdmmState is overwritten by the next admm_step: a
-caller that keeps one must copy it (solve's x_hat and polish are
-copies).
+buffers of their own. At eta = 0, u_half is b throughout, so admm_step
+forms the proximal argument on the v half only. admm_step allocates
+nothing. It does the float operations of the allocating form (kept in
+tests/oracles.py as the reference) in the same order, so its results
+are the same bits. Every array of an AdmmState is overwritten by the
+next admm_step: a caller that keeps one must copy it (solve's x_hat and
+polish are copies).
+
+The termination check (Boyd et al. 2011, section 3.3.1) computes only
+what its decision reads. In every iteration: the primal residual ||r||
+and ||A v_half|| (at eta = 0, ||u_half|| = ||b|| once per solve). The
+dual residual, rho times the step of the projected iterate, while the
+rho schedule is live or when the primal test passes; the step is taken
+between state.proj and state.spare, the point the iteration left, which
+stays intact until the next admm_step. The dual scale ||lambda|| / rho
+only when the primal test passes. A skipped dual residual of the last
+iteration is computed after the loop. Each value comes from the helpers
+that residuals(state) uses, so every decision and both residuals of a
+SolveResult are the bits of a check that computes everything.
 
 rho starts at RHO_INIT, on which the minimizer does not depend.
 Residual balancing multiplies or divides rho by RHO_FACTOR whenever one
@@ -139,32 +152,41 @@ class SolveResult:
 
 
 def block_soft_threshold(v: np.ndarray, kappa: float, out: np.ndarray | None = None,
-                         scale: np.ndarray | None = None,
-                         live: np.ndarray | None = None) -> np.ndarray:
+                         scale: np.ndarray | None = None) -> np.ndarray:
     """prox of kappa * ||.||_2 on the trailing axis: max(0, 1 - kappa/||v||) v.
 
-    out (v's shape, not overlapping v), scale and live (v's shape with a
-    trailing axis of 1, float and bool) are buffers a caller may pass so
-    that the call allocates nothing; the result is written to out.
+    out (v's shape, not overlapping v) and scale (v's shape with a
+    trailing axis of 1) are buffers a caller may pass so that the call
+    allocates nothing; the result is written to out.
     """
-    if kappa < 0:
-        raise ValueError(f"kappa must be >= 0, got {kappa}")
+    if not 0 <= kappa < math.inf:
+        raise ValueError(f"kappa must be finite and >= 0, got {kappa}")
     v = np.asarray(v, dtype=np.float64)
     if out is None:
         out = np.empty_like(v)
+    if kappa == 0:
+        np.copyto(out, v)
+        return out
     if scale is None:
         scale = np.empty(v.shape[:-1] + (1,))
-    if live is None:
-        live = np.empty(scale.shape, dtype=bool)
     np.multiply(v, v, out=out)
-    np.add.reduce(out, axis=-1, keepdims=True, out=scale)
-    np.sqrt(scale, out=scale)
-    # A group of norm 0 keeps scale 0, so its factor is 1; its entries are
-    # +-0, which any finite factor >= 0 leaves as they are.
-    np.greater(scale, 0.0, out=live)
-    np.divide(kappa, scale, out=scale, where=live)
+    if v.shape[-1] == 1:
+        np.sqrt(out, out=scale)
+    else:
+        # a group's squares summed column by column, ((a0 + a1) + a2) + a3:
+        # the order of add.reduce over the short trailing axis, at less
+        # than half its cost
+        total = scale[..., 0]
+        np.add(out[..., 0], out[..., 1], out=total)
+        for k in range(2, v.shape[-1]):
+            np.add(total, out[..., k], out=total)
+        np.sqrt(scale, out=scale)
+    # With the norm clamped to kappa, kappa / scale <= 1, so the factor
+    # 1 - kappa / scale is >= +0 and is +0 for every group of norm <= kappa,
+    # the zero groups included, whose entries +-0 stay +-0.
+    np.maximum(scale, kappa, out=scale)
+    np.divide(kappa, scale, out=scale)
     np.subtract(1.0, scale, out=scale)
-    np.maximum(0.0, scale, out=scale)
     return np.multiply(scale, v, out=out)
 
 
@@ -230,14 +252,10 @@ class AdmmState:
     spare: Stacked       # where the next projection goes; swapped with proj
     lam: Stacked         # unscaled dual (lam_v, lam_u)
     work: Stacked        # scratch
-    A_v_half: np.ndarray  # A v_half, read by residuals
+    A_v_half: np.ndarray  # A v_half, read by the termination check
     r: np.ndarray        # A v_half - u_half: the projection input and the primal residual
     scale: np.ndarray    # (n_groups, 1) shrink factors
-    live: np.ndarray     # (n_groups, 1) groups of nonzero norm
     iteration: int = 0
-    # squared step of the projected iterate (v_proj, u_proj) in the last
-    # iteration; the dual residual is rho times its root
-    step_sq: float = 0.0
 
     @property
     def v_half(self) -> np.ndarray:
@@ -265,12 +283,10 @@ def init_admm_state(projector: GraphProjector, b: np.ndarray, eta: float,
     half, proj, spare, lam, work = (_stacked(cols, rows, group) for _ in range(5))
     if eta == 0:
         half.u[:] = b  # C = {b}: u_half is b in every iteration
-    scale = np.zeros((cols // group, 1))
     return AdmmState(projector=projector, group=group, b=b, eta=float(eta),
                      rho=float(rho), rho_changes=0, half=half, proj=proj,
                      spare=spare, lam=lam, work=work, A_v_half=np.zeros(rows),
-                     r=np.zeros(rows), scale=scale,
-                     live=np.zeros(scale.shape, dtype=bool))
+                     r=np.zeros(rows), scale=np.zeros((cols // group, 1)))
 
 
 def _project_ball(c: np.ndarray, b: np.ndarray, eta: float, out: np.ndarray) -> None:
@@ -287,12 +303,15 @@ def _project_ball(c: np.ndarray, b: np.ndarray, eta: float, out: np.ndarray) -> 
 def admm_step(state: AdmmState) -> AdmmState:
     rho = state.rho
     half, proj, nxt, lam, work = state.half, state.proj, state.spare, state.lam, state.work
-    # the proximal arguments (v_proj, u_proj) - lam / rho
-    np.divide(lam.z, rho, out=work.z)
-    np.subtract(proj.z, work.z, out=work.z)
-    block_soft_threshold(work.groups, 1.0 / rho, out=half.groups, scale=state.scale,
-                         live=state.live)
-    # the projection onto C; u_half holds b throughout when eta = 0
+    # the proximal arguments (v_proj, u_proj) - lam / rho; u_half holds b
+    # throughout when eta = 0, so then only the v half is formed
+    if state.eta > 0:
+        np.divide(lam.z, rho, out=work.z)
+        np.subtract(proj.z, work.z, out=work.z)
+    else:
+        np.divide(lam.v, rho, out=work.v)
+        np.subtract(proj.v, work.v, out=work.v)
+    block_soft_threshold(work.groups, 1.0 / rho, out=half.groups, scale=state.scale)
     if state.eta > 0:
         _project_ball(work.u, state.b, state.eta, half.u)
 
@@ -303,15 +322,49 @@ def admm_step(state: AdmmState) -> AdmmState:
     # projection of (v_half, u_half) + lam / rho is that of (v_half, u_half).
     state.projector.project(half.v, half.u, state.r, out=(nxt.v, nxt.u))
 
-    np.subtract(nxt.z, proj.z, out=work.z)
-    np.multiply(work.z, work.z, out=work.z)
-    state.step_sq = float(np.add.reduce(work.v)) + float(np.add.reduce(work.u))
     np.subtract(half.z, nxt.z, out=work.z)
     np.multiply(rho, work.z, out=work.z)
     np.add(lam.z, work.z, out=lam.z)
     state.proj, state.spare = nxt, proj
     state.iteration += 1
     return state
+
+
+def _norm(x: np.ndarray) -> float:
+    """sqrt(x.x), which is what np.linalg.norm computes for a vector."""
+    return math.sqrt(x.dot(x))
+
+
+def _sum_sq(z: np.ndarray, work: Stacked) -> float:
+    """Sum of squares of the stacked vector z, over v and then over u;
+    work may be z itself."""
+    np.multiply(z, z, out=work.z)
+    return float(np.add.reduce(work.v)) + float(np.add.reduce(work.u))
+
+
+def primal_norms(state: AdmmState) -> tuple[float, float]:
+    """(||r||, ||A v_half||): the primal residual and the part of its
+    scale that changes in every iteration."""
+    return _norm(state.r), _norm(state.A_v_half)
+
+
+def step_sq(state: AdmmState) -> float:
+    """Squared step of the projected iterate in the last iteration, from
+    the point it left (state.spare, intact until the next admm_step) to
+    the one it reached (state.proj); the dual residual is rho times its
+    root."""
+    work = state.work
+    np.subtract(state.proj.z, state.spare.z, out=work.z)
+    return _sum_sq(work.z, work)
+
+
+def _dual_residual(state: AdmmState) -> float:
+    return state.rho * math.sqrt(step_sq(state))
+
+
+def dual_scale(state: AdmmState) -> float:
+    """The scaled-dual norm ||lambda|| / rho."""
+    return math.sqrt(_sum_sq(state.lam.z, state.work)) / state.rho
 
 
 def residuals(state: AdmmState) -> tuple[float, float, float, float]:
@@ -322,16 +375,12 @@ def residuals(state: AdmmState) -> tuple[float, float, float, float]:
     Dual: rho times the step of the projected iterate.
     Scales for the relative tolerances: max(||A v_half||, ||u_half||) on
     the primal side, the scaled-dual norm ||lambda|| / rho on the dual
-    side. No product with A is done here; a norm is sqrt(x.x), which is
-    what np.linalg.norm computes for a vector.
+    side. No product with A is done here. solve computes the same four
+    numbers with the same helpers, each only when its test reads it.
     """
-    r, Av, u, work = state.r, state.A_v_half, state.half.u, state.work
-    primal = math.sqrt(r.dot(r))
-    dual = state.rho * math.sqrt(state.step_sq)
-    primal_scale = max(math.sqrt(Av.dot(Av)), math.sqrt(u.dot(u)))
-    np.multiply(state.lam.z, state.lam.z, out=work.z)
-    dual_scale = math.sqrt(float(np.add.reduce(work.v)) + float(np.add.reduce(work.u)))
-    return primal, dual, primal_scale, dual_scale / state.rho
+    primal, norm_Av = primal_norms(state)
+    return (primal, _dual_residual(state), max(norm_Av, _norm(state.u_half)),
+            dual_scale(state))
 
 
 def group_l1(v_flat: np.ndarray, group: int) -> float:
@@ -374,9 +423,10 @@ def solve(problem: RecoveryProblem, params: SolverParams | None = None,
     and the support polish.
 
     on_iteration, when given, gets the AdmmState after every iteration,
-    before the rho update, so state.rho is the value that iteration used;
-    its return value is ignored. The next step overwrites every array of
-    the state.
+    before the termination check and the rho update, so state.rho is the
+    value that iteration used; its return value is ignored. The next step
+    overwrites every array of the state. The termination check computes
+    only what its decision reads, as the module docstring sets out.
     """
     if params is None:
         params = SolverParams()
@@ -390,26 +440,34 @@ def solve(problem: RecoveryProblem, params: SolverParams | None = None,
     projector = GraphProjector(A)
     state = init_admm_state(projector, b, problem.eta, RHO_INIT, group)
 
+    # u_half holds b throughout when eta = 0
+    norm_u = _norm(state.u_half) if problem.eta == 0 else None
     converged = False
     r_pri = r_dual = math.inf
     for _ in range(params.max_iters):
         admm_step(state)
-        r_pri, r_dual, s_pri, s_dual = residuals(state)
         if on_iteration is not None:
             on_iteration(state)
-        eps_pri = params.tol * (root_pri + max(s_pri, norm_b))
-        eps_dual = params.tol * (root_dual + s_dual)
-        if r_pri <= eps_pri and r_dual <= eps_dual:
+        r_pri, norm_Av = primal_norms(state)
+        s_pri = max(norm_Av, _norm(state.u_half) if norm_u is None else norm_u)
+        primal_ok = r_pri <= params.tol * (root_pri + max(s_pri, norm_b))
+        settled = state.rho_changes == RHO_MAX_CHANGES
+        r_dual = _dual_residual(state) if primal_ok or not settled else None
+        if primal_ok and r_dual <= params.tol * (root_dual + dual_scale(state)):
             converged = True
             break
-        if state.rho_changes == RHO_MAX_CHANGES:
-            continue  # the schedule has settled
+        if settled:
+            continue
         if r_pri > RHO_TRIGGER * r_dual:
             state.rho *= RHO_FACTOR
             state.rho_changes += 1
         elif r_dual > RHO_TRIGGER * r_pri:
             state.rho /= RHO_FACTOR
             state.rho_changes += 1
+    if r_dual is None:
+        # the last iteration ran after the schedule settled and failed the
+        # primal test; its rho and projected points are still in the state
+        r_dual = _dual_residual(state)
 
     if converged:
         status = SolveStatus.CONVERGED

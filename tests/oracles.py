@@ -207,8 +207,9 @@ def near_isometry_matrix(seed: int, m: int, n: int) -> QMatrix:
 
 # ---------------------------------------------------------------------------
 # Reference ADMM iteration: the same float operations, in the same order, as
-# qcs.solver.admm_step and residuals, written with fresh arrays. Drop-in for
-# solver.init_admm_state / admm_step / residuals inside solver.solve.
+# qcs.solver.admm_step and the termination check, written with fresh arrays.
+# Drop-in for solver.init_admm_state / admm_step / primal_norms / step_sq /
+# dual_scale / residuals inside solver.solve (REF_LOOP maps the names).
 
 
 @dataclass
@@ -232,12 +233,14 @@ class RefAdmmState:
 
 
 def ref_init_admm_state(projector, b, eta, rho, group) -> RefAdmmState:
-    """Cold start at zero, on the operator and inverse of a GraphProjector."""
+    """Cold start at zero, on the operator and inverse of a GraphProjector;
+    u_half is b from the start when eta = 0, as in solver.init_admm_state."""
     rows, cols = projector.A.shape
     z_v, z_u = np.zeros(cols), np.zeros(rows)
-    return RefAdmmState(A=projector.A, M=projector.M, group=group,
-                        b=np.asarray(b, dtype=np.float64), eta=float(eta),
-                        rho=float(rho), rho_changes=0, v_half=z_v, u_half=z_u,
+    b = np.asarray(b, dtype=np.float64)
+    return RefAdmmState(A=projector.A, M=projector.M, group=group, b=b, eta=float(eta),
+                        rho=float(rho), rho_changes=0, v_half=z_v,
+                        u_half=b if eta == 0 else z_u,
                         v_proj=z_v, u_proj=z_u, lam_v=z_v, lam_u=z_u, A_v_half=z_u)
 
 
@@ -274,11 +277,33 @@ def ref_admm_step(state: RefAdmmState) -> RefAdmmState:
     return state
 
 
-def ref_residuals(state: RefAdmmState) -> tuple[float, float, float, float]:
+def ref_primal_norms(state: RefAdmmState) -> tuple[float, float]:
     Av = state.A_v_half
-    primal = float(np.linalg.norm(Av - state.u_half))
-    dual = state.rho * math.sqrt(state.step_sq)
-    primal_scale = max(float(np.linalg.norm(Av)), float(np.linalg.norm(state.u_half)))
-    dual_scale = math.sqrt(float(np.sum(state.lam_v ** 2))
-                           + float(np.sum(state.lam_u ** 2)))
-    return primal, dual, primal_scale, dual_scale / state.rho
+    return float(np.linalg.norm(Av - state.u_half)), float(np.linalg.norm(Av))
+
+
+def ref_step_sq(state: RefAdmmState) -> float:
+    return state.step_sq
+
+
+def ref_dual_scale(state: RefAdmmState) -> float:
+    return math.sqrt(float(np.sum(state.lam_v ** 2))
+                     + float(np.sum(state.lam_u ** 2))) / state.rho
+
+
+def ref_residuals(state: RefAdmmState) -> tuple[float, float, float, float]:
+    primal, norm_Av = ref_primal_norms(state)
+    dual = state.rho * math.sqrt(ref_step_sq(state))
+    primal_scale = max(norm_Av, float(np.linalg.norm(state.u_half)))
+    return primal, dual, primal_scale, ref_dual_scale(state)
+
+
+# solver attribute -> its reference, for monkeypatching solver.solve
+REF_LOOP = {
+    "init_admm_state": ref_init_admm_state,
+    "admm_step": ref_admm_step,
+    "primal_norms": ref_primal_norms,
+    "step_sq": ref_step_sq,
+    "dual_scale": ref_dual_scale,
+    "residuals": ref_residuals,
+}

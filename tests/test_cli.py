@@ -470,9 +470,8 @@ def test_recover_trace_matches_the_reference_loop(capsys, instance_files, tmp_pa
     outputs = []
     for step in ("in-place", "reference"):
         if step == "reference":
-            monkeypatch.setattr(solver, "init_admm_state", oracles.ref_init_admm_state)
-            monkeypatch.setattr(solver, "admm_step", oracles.ref_admm_step)
-            monkeypatch.setattr(solver, "residuals", oracles.ref_residuals)
+            for name, ref in oracles.REF_LOOP.items():
+                monkeypatch.setattr(solver, name, ref)
         paths = [tmp_path / f"{step}.csv", tmp_path / f"{step}.json"]
         code, out, _ = run_cli(capsys, ["recover", "--phi", phi, "--y", y,
                                         "--truth", truth, "--trace", str(paths[0]),

@@ -92,6 +92,36 @@ def test_block_soft_threshold_positive_scaling(np_rng):
                            alpha * block_soft_threshold(v, 0.7), atol=1e-12)
 
 
+@pytest.mark.parametrize("group", [1, 2, 4])
+@pytest.mark.parametrize("kappa", [0.0, 2.0 ** -20, 0.3, 1.0, 2.0 ** 20])
+def test_block_soft_threshold_matches_reference_bit_for_bit(np_rng, group, kappa):
+    # every bit, the sign of zero included, with and without buffers: groups
+    # of +-0, groups whose norm is kappa or one ulp either side of it, and
+    # random groups whose norms straddle kappa
+    rows = [np.zeros(group), -np.zeros(group), np.where(np.arange(group) % 2, -0.0, 0.0)]
+    for edge in (np.nextafter(kappa, 0.0), kappa, np.nextafter(kappa, np.inf)):
+        for sign in (1.0, -1.0):
+            row = -np.zeros(group)
+            row[-1] = sign * edge
+            rows.append(row)
+    spread = np.exp(np_rng.uniform(-2.0, 2.0, (300, 1))) / math.sqrt(group)
+    rows.extend(np_rng.standard_normal((300, group)) * spread * (kappa or 1.0))
+    V = np.array(rows)
+    want = oracles.ref_block_soft_threshold(V, kappa)
+    out, scale = np.full_like(V, np.nan), np.full((len(V), 1), np.nan)
+    for got in (block_soft_threshold(V, kappa),
+                block_soft_threshold(V, kappa, out=out, scale=scale)):
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert got is out
+
+
+@pytest.mark.parametrize("kappa", [-1.0, -1e-300, math.inf, math.nan])
+def test_block_soft_threshold_rejects_kappa(kappa):
+    with pytest.raises(ValueError, match="kappa"):
+        block_soft_threshold(np.ones((3, 4)), kappa)
+
+
 # ---------------------------------------------------------------------------
 # parameter and problem validation
 
@@ -568,7 +598,7 @@ def test_step_matches_allocating_reference_bit_for_bit(group, eta):
         oracles.ref_admm_step(ref)
         got, want = residuals(state), oracles.ref_residuals(ref)
         assert got == want, it
-        assert state.step_sq == ref.step_sq
+        assert solver.step_sq(state) == ref.step_sq
         for name in ("v_half", "u_half", "lam_v", "lam_u", "A_v_half"):
             assert np.array_equal(getattr(state, name), getattr(ref, name)), (it, name)
         assert np.array_equal(state.proj.v, ref.v_proj)
@@ -584,6 +614,44 @@ def test_step_matches_allocating_reference_bit_for_bit(group, eta):
         rhos.add(state.rho)
     assert len(rhos) > 1
     assert state.iteration == ref.iteration == 300
+
+
+# R (32, 4) at base seed 7 settles its rho schedule and runs to the cap, so
+# most of its iterations skip the dual residual; H (8, 2) at base seed 0
+# converges with a live schedule.
+@pytest.mark.parametrize("mode, m, s, base_seed, status",
+                         [("real", 32, 4, 7, SolveStatus.MAX_ITERS),
+                          ("quaternion", 8, 2, 0, SolveStatus.CONVERGED)])
+def test_solve_matches_the_reference_loop(monkeypatch, mode, m, s, base_seed, status):
+    # the lazy check gives the bits of the reference drop-in, and its
+    # decisions are those of a check that computes all four residuals in
+    # every iteration
+    problem, _ = sweep_trial(mode, m, s, base_seed)
+    got, state = solve_watched(problem, SWEEP_SOLVER)
+    for name, ref in oracles.REF_LOOP.items():
+        monkeypatch.setattr(solver, name, ref)
+    want, ref_state = solve_watched(problem, SWEEP_SOLVER)
+    assert got.status is status
+    assert (state.rho, state.rho_changes) == (ref_state.rho, ref_state.rho_changes)
+    if status is SolveStatus.MAX_ITERS:
+        assert state.rho_changes == solver.RHO_MAX_CHANGES
+    assert np.array_equal(got.x_hat.data, want.x_hat.data)
+    for name in ("iterations", "status", "primal_residual", "dual_residual",
+                 "objective", "polished"):
+        assert getattr(got, name) == getattr(want, name)
+
+    rows = []
+    solve(problem, SWEEP_SOLVER, on_iteration=lambda st: rows.append(solver.residuals(st)))
+    _, b, _ = solver._real_form(problem)
+    n = problem.Phi.shape[1]
+    tol, norm_b = SWEEP_SOLVER.tol, float(np.linalg.norm(b))
+    passed = [pri <= tol * (math.sqrt(4 * m) + max(s_pri, norm_b))
+              and dual <= tol * (math.sqrt(4 * (m + n)) + s_dual)
+              for pri, dual, s_pri, s_dual in rows]
+    assert len(passed) == want.iterations
+    assert not any(passed[:-1])
+    assert passed[-1] == (status is SolveStatus.CONVERGED)
+    assert (want.primal_residual, want.dual_residual) == rows[-1][:2]
 
 
 def test_solve_result_does_not_alias_the_state():
