@@ -14,7 +14,13 @@ real slots is one coordinate. solve picks the group size from the data:
   is feasible, so the quaternion minimum is attained at a real vector,
   and x_hat comes back with zero imaginary slots.
 - g = 4 otherwise. A is the 4m x 4n compact embedding and b = vec4(y),
-  so a group is the four components of a quaternion coordinate.
+  so a group is the four components of a quaternion coordinate. A is
+  never formed on the solve path: GraphProjector applies it through F,
+  Phi's components as a 4m x n array (embedding.component_rows), which
+  holds each component once where A holds it four times. Only the
+  least-squares gap of a solve that did not converge builds A
+  (build_embedding), and the polish builds A's columns on the kept
+  support.
 
 SolverParams holds the two settings callers vary: max_iters and tol, the
 relative tolerance of both residuals. The absolute terms of the stopping
@@ -24,14 +30,19 @@ After the loop, every solve that is not certified infeasible polishes
 the support (least squares on it, kept when it is feasible and no worse
 in objective).
 
-The splitting is consensus form between the separable term F(v, u) and
-the indicator of the graph {(v, u): A v = u}. The graph projection uses
-the explicit inverse M = (I + A A^T)^{-1}, formed once per solve over
-the rows of A, and is independent of the penalty rho, so
-residual-balancing rho updates are free. An iteration costs two products
-with the operator (A v_half and one with A^T in the projection) and one
-over the rows (with M). It forms r = A v_half - u_half once: r is the
-projection's input and its norm is the primal residual.
+The splitting is consensus form between the separable term
+sum_k ||v_k|| + I_C(u) and the indicator of the graph
+{(v, u): A v = u}. The graph projection uses the explicit inverse
+M = (I + A A^T)^{-1}, formed once per solve over the rows of A, and is
+independent of the penalty rho, so residual-balancing rho updates are
+free. An iteration costs two products with the operator (A v_half and
+one with A^T in the projection) and one over the rows (with M). For
+g = 4 a product with A is a 4-column product with F,
+(4m x n) @ (n x 4), and a (m x 16) @ (16 x 4) combine (for A^T, the
+combine comes first), so it reads the 4mn doubles of F instead of the
+16mn of A; M comes from F F^T, a quarter of the flops of A A^T. The
+iteration forms r = A v_half - u_half once: r is the projection's input
+and its norm is the primal residual.
 
 init_admm_state allocates every array of the solve once. The iterate is
 stacked as z = (v, u), cols + rows slots, for the half step, the
@@ -82,7 +93,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .embedding import build_embedding, unvec4
+from .embedding import (ADJOINT_TABLE, PRODUCT_TABLE, build_embedding, compact_gram,
+                        compact_operator, component_rows, unvec4, vec4)
 from .errors import DimensionMismatch, NonFiniteInput, check_number
 from .qlinalg import QMatrix, QVector, lp_norm
 
@@ -191,30 +203,75 @@ def block_soft_threshold(v: np.ndarray, kappa: float, out: np.ndarray | None = N
 
 
 class GraphProjector:
-    """Euclidean projection onto {(v, u): A v = u}.
+    """The products with A and the Euclidean projection onto
+    {(v, u): A v = u}.
+
+    A is never formed. group = 1: A is F itself. group = 4: F is Phi's
+    components as a 4m x n array (embedding.component_rows) and A is the
+    4m x 4n compact embedding, applied through the structure constants
+    of H: A v is one (4m x n) @ (n x 4) product and a combine of its 16
+    columns per row into 4, A^T t the same in reverse. The products take
+    v (4n) and t (4m) shaped as operand() gives, (n, 4) and (m, 4), and
+    F.T is a view, so F is the only copy of Phi a solve keeps. The
+    products and the projection write their intermediates to buffers of
+    the projector, so a projector serves one call at a time.
 
     The projection of (c_v, c_u) is
     (v, u) = (c_v - A^T t, c_u + t) with t = M (A c_v - c_u) and
-    M = (I + A A^T)^{-1}, formed once over the rows of A: t is the
-    multiplier of A v = u, and A v = u is A c_v - A A^T t = c_u + t. For
-    finite A the eigenvalues of I + A A^T are at least 1, so M always
-    exists, with eigenvalues in (0, 1]. The caller passes
-    r = A c_v - c_u, so the projection does one product with A^T.
+    M = (I + A A^T)^{-1}, formed once over the rows of A from F F^T
+    (embedding.compact_gram for group 4): t is the multiplier of
+    A v = u, and A v = u is A c_v - A A^T t = c_u + t. For finite A the
+    eigenvalues of I + A A^T are at least 1, so M always exists, with
+    eigenvalues in (0, 1]. The caller passes r = A c_v - c_u, so the
+    projection does one product with A^T.
     """
 
-    def __init__(self, A: np.ndarray):
-        self.A = np.ascontiguousarray(A)
-        self.M = np.linalg.inv(np.eye(A.shape[0]) + self.A @ self.A.T)
+    def __init__(self, F: np.ndarray, group: int = 1):
+        self.F = np.ascontiguousarray(F)
+        self.group = group
+        rows, n = self.F.shape
+        self.shape = (rows, group * n)
+        if group == 4:
+            m = rows // 4
+            self._T = np.empty((rows, 4))
+            self._T16 = self._T.reshape(m, 16)
+            self._W = np.empty((m, 16))
+            self._W4 = self._W.reshape(rows, 4)
+        gram = self.F @ self.F.T if group == 1 else compact_gram(self.F)
+        self.M = np.linalg.inv(np.eye(rows) + gram)
+        # the projection's t and A^T t, flat and as operands
+        self._t = np.empty(rows)
+        self._t_op = self.operand(self._t)
+        self._At_t = np.empty(self.shape[1])
+        self._At_t_op = self.operand(self._At_t)
+
+    def operand(self, x: np.ndarray) -> np.ndarray:
+        """A view of the flat vector x in the shape the products take."""
+        return x if self.group == 1 else x.reshape(-1, 4)
+
+    def apply(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """A v, for v an operand; written to out (an operand) when given."""
+        if self.group == 1:
+            return np.matmul(self.F, v, out=out)
+        np.matmul(self.F, v, out=self._T)
+        return np.matmul(self._T16, PRODUCT_TABLE, out=out)
+
+    def apply_adjoint(self, t: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """A^T t, for t an operand; written to out (an operand) when given."""
+        if self.group == 1:
+            return np.matmul(self.F.T, t, out=out)
+        np.matmul(t, ADJOINT_TABLE, out=self._W)
+        return np.matmul(self.F.T, self._W4, out=out)
 
     def project(self, cv: np.ndarray, cu: np.ndarray, r: np.ndarray,
                 out: tuple[np.ndarray, np.ndarray] | None = None,
                 ) -> tuple[np.ndarray, np.ndarray]:
-        """(v, u) for the point (cv, cu), given r = A cv - cu; written to
-        out = (v, u) when given, which must not overlap the inputs."""
+        """(v, u) for the flat point (cv, cu), given r = A cv - cu; written
+        to out = (v, u) when given, which must not overlap the inputs."""
         v, u = out if out is not None else (np.empty_like(cv), np.empty_like(cu))
-        t = np.matmul(self.M, r, out=u)
-        np.matmul(self.A.T, t, out=v)
-        np.subtract(cv, v, out=v)
+        t = np.matmul(self.M, r, out=self._t)
+        self.apply_adjoint(self._t_op, out=self._At_t_op)
+        np.subtract(cv, self._At_t, out=v)
         np.add(cu, t, out=u)
         return v, u
 
@@ -255,6 +312,9 @@ class AdmmState:
     A_v_half: np.ndarray  # A v_half, read by the termination check
     r: np.ndarray        # A v_half - u_half: the projection input and the primal residual
     scale: np.ndarray    # (n_groups, 1) shrink factors
+    # v_half and A_v_half as the operands of the projector's products
+    v_half_op: np.ndarray
+    A_v_half_op: np.ndarray
     iteration: int = 0
 
     @property
@@ -275,18 +335,22 @@ class AdmmState:
 
 
 def init_admm_state(projector: GraphProjector, b: np.ndarray, eta: float,
-                    rho: float, group: int) -> AdmmState:
-    """Cold start at zero (no warm starts across trials); group is the
-    number of real slots per coordinate."""
-    rows, cols = projector.A.shape
+                    rho: float) -> AdmmState:
+    """Cold start at zero (no warm starts across trials); a coordinate is
+    a group of projector.group real slots."""
+    rows, cols = projector.shape
+    group = projector.group
     b = np.asarray(b, dtype=np.float64)
     half, proj, spare, lam, work = (_stacked(cols, rows, group) for _ in range(5))
     if eta == 0:
         half.u[:] = b  # C = {b}: u_half is b in every iteration
+    A_v_half = np.zeros(rows)
     return AdmmState(projector=projector, group=group, b=b, eta=float(eta),
                      rho=float(rho), rho_changes=0, half=half, proj=proj,
-                     spare=spare, lam=lam, work=work, A_v_half=np.zeros(rows),
-                     r=np.zeros(rows), scale=np.zeros((cols // group, 1)))
+                     spare=spare, lam=lam, work=work, A_v_half=A_v_half,
+                     r=np.zeros(rows), scale=np.zeros((cols // group, 1)),
+                     v_half_op=projector.operand(half.v),
+                     A_v_half_op=projector.operand(A_v_half))
 
 
 def _project_ball(c: np.ndarray, b: np.ndarray, eta: float, out: np.ndarray) -> None:
@@ -315,7 +379,7 @@ def admm_step(state: AdmmState) -> AdmmState:
     if state.eta > 0:
         _project_ball(work.u, state.b, state.eta, half.u)
 
-    np.matmul(state.projector.A, half.v, out=state.A_v_half)
+    state.projector.apply(state.v_half_op, out=state.A_v_half_op)
     np.subtract(state.A_v_half, half.u, out=state.r)
     # The scaled dual lam / rho is a sum of projection residuals, so it
     # stays orthogonal to the graph (lam_v = -A^T lam_u), and the
@@ -388,11 +452,17 @@ def group_l1(v_flat: np.ndarray, group: int) -> float:
     return float(np.sqrt(np.sum(groups * groups, axis=1)).sum())
 
 
-def _polish_candidate(A: np.ndarray, b: np.ndarray, eta: float, v_half: np.ndarray,
-                      threshold: float, group: int) -> np.ndarray | None:
+def _polish_candidate(Phi: QMatrix, projector: GraphProjector, b: np.ndarray, eta: float,
+                      v_half: np.ndarray, threshold: float) -> np.ndarray | None:
     """Least squares restricted to the active support; None when the
     restricted system is rank-deficient or the candidate fails the
-    feasibility / objective acceptance rules."""
+    feasibility / objective acceptance rules.
+
+    Only the support's columns of A are built: those of F for group 1,
+    the compact embedding of Phi's kept columns for group 4, which are
+    the entries of A[:, slots] exactly.
+    """
+    group = projector.group
     groups = v_half.reshape(-1, group)
     gnorm = np.sqrt(np.sum(groups * groups, axis=1))
     gmax = float(gnorm.max()) if gnorm.size else 0.0
@@ -400,16 +470,20 @@ def _polish_candidate(A: np.ndarray, b: np.ndarray, eta: float, v_half: np.ndarr
         return None
     keep = np.nonzero(gnorm > threshold * gmax)[0]
     slots = (group * keep[:, None] + np.arange(group)[None, :]).reshape(-1)
-    if len(slots) > A.shape[0]:
+    if len(slots) > projector.shape[0]:
         # more unknowns than rows: the rank is below the column count
         return None
-    A_S = A[:, slots]
+    if group == 1:
+        A_S = projector.F[:, keep]
+    else:
+        A_S = compact_operator(QMatrix(Phi.data[:, keep]))
     w, _, rank, _ = np.linalg.lstsq(A_S, b, rcond=None)
     if rank < A_S.shape[1]:
         return None
     z = np.zeros_like(v_half)
     z[slots] = w
-    if float(np.linalg.norm(A @ z - b)) > eta + POLISH_FEAS_SLACK:
+    A_z = projector.apply(projector.operand(z)).reshape(-1)
+    if float(np.linalg.norm(A_z - b)) > eta + POLISH_FEAS_SLACK:
         return None
     if group_l1(z, group) > group_l1(v_half, group) + POLISH_OBJ_SLACK:
         return None
@@ -430,15 +504,15 @@ def solve(problem: RecoveryProblem, params: SolverParams | None = None,
     """
     if params is None:
         params = SolverParams()
-    A, b, group = _real_form(problem)
+    F, b, group = _real_form(problem)
     # absolute tolerance terms count dimensions in H for either group size
     m, n = problem.Phi.shape
     root_pri = math.sqrt(4 * m)
     root_dual = math.sqrt(4 * (m + n))
     norm_b = float(np.linalg.norm(b))
 
-    projector = GraphProjector(A)
-    state = init_admm_state(projector, b, problem.eta, RHO_INIT, group)
+    projector = GraphProjector(F, group)
+    state = init_admm_state(projector, b, problem.eta, RHO_INIT)
 
     # u_half holds b throughout when eta = 0
     norm_u = _norm(state.u_half) if problem.eta == 0 else None
@@ -472,6 +546,8 @@ def solve(problem: RecoveryProblem, params: SolverParams | None = None,
     if converged:
         status = SolveStatus.CONVERGED
     else:
+        # the one step that needs A itself; a converged solve never builds it
+        A = F if group == 1 else build_embedding(problem.Phi, problem.y)[0]
         gap = _least_squares_gap(A, b)
         if gap > problem.eta + 1e-9 * (1.0 + norm_b):
             status = SolveStatus.INFEASIBLE
@@ -481,8 +557,8 @@ def solve(problem: RecoveryProblem, params: SolverParams | None = None,
     x_flat = state.v_half
     polished = False
     if status is not SolveStatus.INFEASIBLE:
-        cand = _polish_candidate(A, b, problem.eta, state.v_half, POLISH_THRESHOLD,
-                                 group)
+        cand = _polish_candidate(problem.Phi, projector, b, problem.eta, state.v_half,
+                                 POLISH_THRESHOLD)
         if cand is not None:
             x_flat = cand
             polished = True
@@ -495,13 +571,14 @@ def solve(problem: RecoveryProblem, params: SolverParams | None = None,
 
 
 def _real_form(problem: RecoveryProblem) -> tuple[np.ndarray, np.ndarray, int]:
-    """(A, b, g): the real operator, the data it must hit and the group
-    size; g = 1 on the m x n real part when every imaginary part of Phi
-    and y is exactly zero, else g = 4 on the compact embedding."""
+    """(F, b, g): the array GraphProjector(F, g) applies A through, the
+    data A must hit and the group size. g = 1 when every imaginary part
+    of Phi and y is exactly zero: F = Re Phi (m x n) is A and b = Re y.
+    Else g = 4: F = component_rows(Phi) (4m x n), A is the compact
+    embedding and b = vec4(y)."""
     Phi, y = problem.Phi.data, problem.y.data
     if Phi[..., 1:].any() or y[:, 1:].any():
-        A, b = build_embedding(problem.Phi, problem.y)
-        return A, b, 4
+        return component_rows(problem.Phi), vec4(problem.y), 4
     return np.ascontiguousarray(Phi[..., 0]), np.ascontiguousarray(y[:, 0]), 1
 
 

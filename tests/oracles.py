@@ -6,9 +6,10 @@ a basis table, the real embedding from a hand-written left-multiplication
 block, operator norms from power iteration, and minimizers from support
 enumeration or, for real basis pursuit, from an exact linear program.
 The reference ADMM iteration is the allocating form of the solver's
-in-place step, one fresh array per operation, and the reference RIP
-enumeration runs one eigensolve per support; both are for bit-for-bit
-checks.
+in-place step, one fresh array per operation, with its products with A
+taken from the solver's GraphProjector (which the tests check against
+ref_real_matrix separately), and the reference RIP enumeration runs one
+eigensolve per support; both are for bit-for-bit checks.
 """
 from __future__ import annotations
 
@@ -214,8 +215,7 @@ def near_isometry_matrix(seed: int, m: int, n: int) -> QMatrix:
 
 @dataclass
 class RefAdmmState:
-    A: np.ndarray
-    M: np.ndarray
+    projector: object
     group: int
     b: np.ndarray
     eta: float
@@ -232,16 +232,26 @@ class RefAdmmState:
     step_sq: float = 0.0
 
 
-def ref_init_admm_state(projector, b, eta, rho, group) -> RefAdmmState:
-    """Cold start at zero, on the operator and inverse of a GraphProjector;
+def ref_init_admm_state(projector, b, eta, rho) -> RefAdmmState:
+    """Cold start at zero, on the products and inverse of a GraphProjector;
     u_half is b from the start when eta = 0, as in solver.init_admm_state."""
-    rows, cols = projector.A.shape
+    rows, cols = projector.shape
     z_v, z_u = np.zeros(cols), np.zeros(rows)
     b = np.asarray(b, dtype=np.float64)
-    return RefAdmmState(A=projector.A, M=projector.M, group=group, b=b, eta=float(eta),
+    return RefAdmmState(projector=projector, group=projector.group, b=b, eta=float(eta),
                         rho=float(rho), rho_changes=0, v_half=z_v,
                         u_half=b if eta == 0 else z_u,
                         v_proj=z_v, u_proj=z_u, lam_v=z_v, lam_u=z_u, A_v_half=z_u)
+
+
+def ref_apply(projector, v: np.ndarray) -> np.ndarray:
+    """A v for a flat v, into a fresh array, by the projector's product."""
+    return projector.apply(projector.operand(v)).reshape(-1)
+
+
+def ref_apply_adjoint(projector, t: np.ndarray) -> np.ndarray:
+    """A^T t for a flat t, into a fresh array, by the projector's product."""
+    return projector.apply_adjoint(projector.operand(t)).reshape(-1)
 
 
 def ref_block_soft_threshold(v: np.ndarray, kappa: float) -> np.ndarray:
@@ -264,9 +274,9 @@ def ref_admm_step(state: RefAdmmState) -> RefAdmmState:
     v_half = ref_block_soft_threshold(v_arg, 1.0 / rho).reshape(-1)
     u_half = state.b if state.eta == 0 else ref_project_ball(
         state.u_proj - state.lam_u / rho, state.b, state.eta)
-    A_v_half = state.A @ v_half
-    t = state.M @ (A_v_half - u_half)
-    v_proj, u_proj = v_half - state.A.T @ t, u_half + t
+    A_v_half = ref_apply(state.projector, v_half)
+    t = state.projector.M @ (A_v_half - u_half)
+    v_proj, u_proj = v_half - ref_apply_adjoint(state.projector, t), u_half + t
     state.step_sq = (float(np.sum((v_proj - state.v_proj) ** 2))
                      + float(np.sum((u_proj - state.u_proj) ** 2)))
     state.v_half, state.u_half, state.A_v_half = v_half, u_half, A_v_half

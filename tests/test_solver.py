@@ -6,7 +6,8 @@ import pytest
 
 import oracles
 from qcs import solver
-from qcs.embedding import build_embedding, vec4
+from qcs.embedding import (build_embedding, compact_gram, compact_operator, component_rows,
+                           vec4)
 from qcs.errors import DimensionMismatch, NonFiniteInput
 from qcs.harness import PERFECT_THRESHOLD, SWEEP_SOLVER, ExperimentConfig, _sample_problem
 from qcs.qlinalg import QMatrix, QVector, lp_norm, matvec, support
@@ -204,6 +205,44 @@ def test_projection_matches_dense_solve(np_rng, rows, cols):
             assert np.linalg.norm(u_mu - u) <= 1e-12 * (1.0 + np.linalg.norm(u))
 
 
+def _rel_close(got, want, rtol=1e-13):
+    return np.linalg.norm(got - want) <= rtol * np.linalg.norm(want)
+
+
+# group 4: the products and the Gram from F against the entrywise 4x4-block
+# embedding, on random Phi and on Phi with whole components exactly zero
+@pytest.mark.parametrize("m, n", [(1, 1), (1, 5), (5, 1), (3, 7), (12, 6)])
+def test_structured_products_match_the_block_embedding(np_rng, m, n):
+    for zero in (None, 0, 2):
+        data = np_rng.standard_normal((m, n, 4))
+        if zero is not None:
+            data[..., zero] = 0.0
+        Phi = QMatrix(data)
+        A = oracles.ref_real_matrix(Phi)
+        proj = GraphProjector(component_rows(Phi), 4)
+        assert proj.shape == A.shape == (4 * m, 4 * n)
+        for _ in range(3):
+            v, t = np_rng.standard_normal(4 * n), np_rng.standard_normal(4 * m)
+            A_v = oracles.ref_apply(proj, v)
+            At_t = oracles.ref_apply_adjoint(proj, t)
+            assert _rel_close(A_v, A @ v)
+            assert _rel_close(At_t, A.T @ t)
+            assert abs(A_v @ t - v @ At_t) <= 1e-13 * np.linalg.norm(A_v) * np.linalg.norm(t)
+        assert _rel_close(compact_gram(proj.F), A @ A.T)
+        assert _rel_close(proj.M, np.linalg.inv(np.eye(4 * m) + A @ A.T))
+
+
+# group 1 runs the products and the factor of the plain m x n matrix
+@pytest.mark.parametrize("m, n", [(1, 3), (4, 12), (12, 40), (32, 256)])
+def test_real_products_are_the_dense_products(np_rng, m, n):
+    A = np_rng.standard_normal((m, n)) / math.sqrt(m)
+    proj = GraphProjector(A)
+    v, t = np_rng.standard_normal(n), np_rng.standard_normal(m)
+    assert np.array_equal(oracles.ref_apply(proj, v), A @ v)
+    assert np.array_equal(oracles.ref_apply_adjoint(proj, t), A.T @ t)
+    assert np.array_equal(proj.M, np.linalg.inv(np.eye(m) + A @ A.T))
+
+
 # ---------------------------------------------------------------------------
 # pinned iteration-level behavior
 
@@ -211,8 +250,8 @@ def test_projection_matches_dense_solve(np_rng, rows, cols):
 def test_first_iteration_primal_residual_is_data_norm():
     # from a cold start the first primal residual equals ||vec4(y)||_2 exactly
     Phi, x, y = sparse_instance(1, 3, 5, 2)
-    A, b = build_embedding(Phi, y)
-    state = init_admm_state(GraphProjector(A), b, 0.0, 1.0, 4)
+    b = vec4(y)
+    state = init_admm_state(GraphProjector(component_rows(Phi), 4), b, 0.0, 1.0)
     admm_step(state)
     r_pri, _, _, _ = residuals(state)
     assert r_pri == float(np.linalg.norm(b))
@@ -220,8 +259,7 @@ def test_first_iteration_primal_residual_is_data_norm():
 
 def test_dual_scale_halves_when_rho_doubles():
     Phi, x, y = sparse_instance(2, 3, 5, 2)
-    A, b = build_embedding(Phi, y)
-    state = init_admm_state(GraphProjector(A), b, 0.0, 1.0, 4)
+    state = init_admm_state(GraphProjector(component_rows(Phi), 4), vec4(y), 0.0, 1.0)
     for _ in range(5):
         admm_step(state)
     _, _, _, scale_before = residuals(state)
@@ -343,15 +381,21 @@ def test_polish_refuses_a_support_wider_than_the_rows(monkeypatch, group, kept):
         raise AssertionError("lstsq ran")
 
     monkeypatch.setattr(np.linalg, "lstsq", refuse)
-    A = np.random.default_rng(group).standard_normal((4, 12 * group))
+    # a 4 x 12 real Phi for group 1, a 1 x 12 quaternion one for group 4
+    data = np.random.default_rng(group).standard_normal((4 // group, 12, 4))
+    if group == 1:
+        data[..., 1:] = 0.0
+    Phi = QMatrix(data)
+    proj = GraphProjector(data[..., 0] if group == 1 else component_rows(Phi), group)
     v = np.zeros(12 * group)
     v[:group * kept] = 1.0
+    b = oracles.ref_apply(proj, v)
     if group * kept > 4:
-        assert solver._polish_candidate(A, A @ v, 0.0, v, solver.POLISH_THRESHOLD,
-                                        group) is None
+        assert solver._polish_candidate(Phi, proj, b, 0.0, v,
+                                        solver.POLISH_THRESHOLD) is None
     else:
         with pytest.raises(AssertionError, match="lstsq ran"):
-            solver._polish_candidate(A, A @ v, 0.0, v, solver.POLISH_THRESHOLD, group)
+            solver._polish_candidate(Phi, proj, b, 0.0, v, solver.POLISH_THRESHOLD)
 
 
 def solve_watched(problem, params=None):
@@ -404,8 +448,7 @@ def test_rho_equivalence_of_solutions(monkeypatch):
 
 
 def _padded_form(problem):
-    A, b = build_embedding(problem.Phi, problem.y)
-    return A, b, 4
+    return component_rows(problem.Phi), vec4(problem.y), 4
 
 
 @pytest.mark.parametrize("seed, m, n, s, eta, max_iters, status, polished", [
@@ -416,8 +459,9 @@ def _padded_form(problem):
 ])
 def test_real_problem_matches_padded_embedding(monkeypatch, seed, m, n, s, eta,
                                                max_iters, status, polished):
-    # with real Phi and y the padded 4m x 4n run keeps every imaginary slot
-    # at zero, so the m x n run must retrace it step for step
+    # with real Phi and y the padded run on the 4m x 4n compact embedding
+    # keeps every imaginary slot at zero, so the m x n run must retrace it
+    # step for step
     Phi, x, y = real_instance(seed, m, n, s, eta)
     problem = RecoveryProblem(Phi=Phi, y=y, eta=eta)
     params = SolverParams(max_iters=max_iters)
@@ -441,14 +485,12 @@ def test_real_problem_matches_padded_embedding(monkeypatch, seed, m, n, s, eta,
 
 
 @pytest.mark.parametrize("seed, m, n, s", [(5, 4, 5, 2), (1, 4, 6, 1)])
-def test_one_imaginary_entry_takes_quaternion_path(monkeypatch, seed, m, n, s):
+def test_one_imaginary_entry_takes_quaternion_path(seed, m, n, s):
     Phi, x, y = real_instance(seed, m, n, s)
     y.data[1, 2] = 0.25
-    built = []
-    monkeypatch.setattr(solver, "build_embedding",
-                        lambda *args: built.append(1) or build_embedding(*args))
-    res = solve(RecoveryProblem(Phi=Phi, y=y, eta=0.0))
-    assert built == [1]
+    problem = RecoveryProblem(Phi=Phi, y=y, eta=0.0)
+    assert solver._real_form(problem)[2] == 4
+    res = solve(problem)
     assert res.status is SolveStatus.CONVERGED
     assert res.x_hat.data[:, 1:].any()
     # the brute-force oracle is exact when the minimizer has at most m
@@ -541,11 +583,38 @@ def test_carried_products_do_not_drift(mode, m, s, base_seed):
     problem, _ = sweep_trial(mode, m, s, base_seed)
     res, state = solve_watched(problem, SWEEP_SOLVER)
     assert res.iterations > 2500
-    A = state.projector.A
+    if state.group == 1:
+        A = problem.Phi.data[..., 0]
+    else:
+        A, _ = build_embedding(problem.Phi, problem.y)
     direct = A @ state.v_half
     assert np.linalg.norm(state.A_v_half - direct) <= 1e-13 * np.linalg.norm(direct)
     assert (np.linalg.norm(state.lam_v + A.T @ state.lam_u)
             <= 1e-12 * np.linalg.norm(state.lam_v))
+
+
+def test_converging_quaternion_trial_builds_no_embedding(monkeypatch):
+    # the solve and its polish run on F and on the kept columns alone; the
+    # 4m x 4n embedding is built only for the gap of a solve that did not
+    # converge
+    problem, x = sweep_trial("quaternion", 8, 2, 0)
+
+    def no_embedding(*args):
+        raise AssertionError("a converging solve built the quaternion embedding")
+
+    built = []
+
+    def kept_columns(Phi):
+        built.append(Phi.shape)
+        return compact_operator(Phi)
+
+    monkeypatch.setattr(solver, "build_embedding", no_embedding)
+    monkeypatch.setattr(solver, "compact_operator", kept_columns)
+    res = solve(problem, SWEEP_SOLVER)
+    assert (res.status, res.polished) == (SolveStatus.CONVERGED, True)
+    assert lp_norm(res.x_hat - x, 2) <= PERFECT_THRESHOLD
+    assert [shape[0] for shape in built] == [8]
+    assert all(cols < 256 for _, cols in built)
 
 
 def test_rho_stops_changing_at_the_bound():
@@ -585,13 +654,13 @@ def test_step_matches_allocating_reference_bit_for_bit(group, eta):
     # residual must be equal
     if group == 1:
         Phi, _, y = real_instance(12, 12, 40, 3, eta)
-        A, b = Phi.data[..., 0], y.data[:, 0]
+        F, b = Phi.data[..., 0], y.data[:, 0]
     else:
         Phi, _, y = sparse_instance(12, 6, 24, 2, eta)
-        A, b = build_embedding(Phi, y)
-    projector = GraphProjector(A)
-    state = init_admm_state(projector, b, eta, 1.0, group)
-    ref = oracles.ref_init_admm_state(projector, b, eta, 1.0, group)
+        F, b = component_rows(Phi), vec4(y)
+    projector = GraphProjector(F, group)
+    state = init_admm_state(projector, b, eta, 1.0)
+    ref = oracles.ref_init_admm_state(projector, b, eta, 1.0)
     rhos = set()
     for it in range(300):
         admm_step(state)
