@@ -385,14 +385,14 @@ def test_the_drift_guard_names_the_keys_that_differ(capsys, tmp_path):
     assert (code, out) == (1, "")
     assert json.loads(err) == {"error": "ValueError",
                                "message": f"{differ} trials); refusing to mix sweeps"}
-    # a schema-3 directory, whose two keys schema 4 does not know
+    # a schema-3 directory, whose two keys schema 5 does not know
     config_path.write_text(json.dumps({**config, **SCHEMA_3_KEYS}))
     code, out, err = run_cli(capsys, argv)
     assert (code, out) == (1, "")
     assert json.loads(err) == {
         "error": "ValueError",
         "message": f"{differ} perfect_threshold, solver); refusing to mix sweeps; "
-                   "schema 4 has no key perfect_threshold, solver, so an older "
+                   "schema 5 has no key perfect_threshold, solver, so an older "
                    "version wrote this directory: README.md's File formats section "
                    "lists the migration steps"}
     # the section it points to holds the steps

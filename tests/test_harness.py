@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -9,6 +10,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+import oracles
 from qcs import harness, solver
 from qcs import random as qrandom
 from qcs.errors import IoFailure
@@ -309,6 +311,21 @@ def test_sweep_parallel_matches_serial(tmp_path, monkeypatch):
     assert a == b
 
 
+def test_sweep_parallel_matches_serial_with_certified_failures(tmp_path, monkeypatch):
+    # real (16, 5) and (16, 8) at n = 64 hold certified failures beside a
+    # converged trial; the records, statuses and decision iterations
+    # included, are the same bytes for one worker and for three
+    cfg = small_config(tmp_path, n=64, m_values=(16,), s_rule=(5, 8), trials=4,
+                       scalar_mode="real", out_dir=str(tmp_path / "serial"))
+    run_sweep(cfg)
+    monkeypatch.setenv("QCS_WORKERS", "3")
+    run_sweep(dataclasses.replace(cfg, out_dir=str(tmp_path / "par")))
+    serial = (tmp_path / "serial" / "records.jsonl").read_bytes()
+    assert (tmp_path / "par" / "records.jsonl").read_bytes() == serial
+    statuses = [json.loads(line)["status"] for line in serial.splitlines()]
+    assert harness.CERTIFIED_FAILURE in statuses and "converged" in statuses
+
+
 def test_hard_cell_rate_is_low(tmp_path):
     # s = m/2 sits deep in the failure region
     cfg = small_config(tmp_path, n=64, m_values=(16,), s_rule=(8,), trials=6,
@@ -513,3 +530,105 @@ def test_emit_plot_unwritable_path(tmp_path):
     pts = [(1, 1.0)]
     with pytest.raises(IoFailure):
         emit_plot(pts, tmp_path / "no" / "such" / "dir.svg")
+
+
+# ---------------------------------------------------------------------------
+# the failure certificate of eta = 0 trials
+
+
+def _certified_trials(cfg):
+    """(record, (Phi, x, y)) of every certified failure among cfg's trials."""
+    out = []
+    for m, s in cfg.cells():
+        for t in range(cfg.trials):
+            rec = run_single_trial(cfg, m, s, t)
+            if rec.status == harness.CERTIFIED_FAILURE:
+                out.append((rec, _sample_problem(cfg, m, s, t)))
+    return out
+
+
+def test_certified_failures_agree_with_the_lp(tmp_path):
+    # small real cells in the failure region: the exact LP's minimum is below
+    # ||x||_1 for every certified trial, and the certificate's point z is
+    # feasible, with a norm at least that minimum and below ||x||_1
+    cfg = small_config(tmp_path, n=64, m_values=(16,), s_rule=(5, 6, 8), trials=4,
+                       scalar_mode="real")
+    certified = _certified_trials(cfg)
+    assert len(certified) >= 8
+    for rec, (Phi, x, y) in certified:
+        A, b = Phi.data[..., 0], y.data[:, 0]
+        norm_x = lp_norm(x, 1)
+        lp_min = float(np.abs(oracles.lp_min_l1(A, b)).sum())
+        assert lp_min < norm_x - math.sqrt(cfg.n) * PERFECT_THRESHOLD
+        assert not rec.perfect and rec.err_l2 > PERFECT_THRESHOLD
+        assert rec.iterations % harness.CERTIFICATE_EVERY == 0
+        certificate = harness._FailureCertificate(x)
+        res = solver.solve(RecoveryProblem(Phi, y, 0.0), harness.SWEEP_SOLVER, certificate)
+        assert (res.status, res.iterations) == (solver.SolveStatus.STOPPED, rec.iterations)
+        z = certificate.point()
+        assert lp_norm(z - x, 2) == rec.err_l2 and lp_norm(z - x, 1) == rec.err_l1
+        assert np.linalg.norm(A @ z.data[:, 0] - b) <= 1e-10 * (1 + np.linalg.norm(b))
+        assert lp_min - 1e-9 <= lp_norm(z, 1) < certificate.bound
+
+
+def test_quaternion_certified_failures_hold_feasible_points(tmp_path):
+    cfg = small_config(tmp_path, n=64, m_values=(16,), s_rule=(8,), trials=4)
+    certified = _certified_trials(cfg)
+    assert len(certified) == 4
+    for rec, (Phi, x, y) in certified:
+        certificate = harness._FailureCertificate(x)
+        solver.solve(RecoveryProblem(Phi, y, 0.0), harness.SWEEP_SOLVER, certificate)
+        z = certificate.point()
+        assert np.linalg.norm((matvec(Phi, z) - y).data) <= 1e-10 * (1 + lp_norm(y, 2))
+        assert lp_norm(z, 1) < lp_norm(x, 1) - math.sqrt(cfg.n) * PERFECT_THRESHOLD
+        assert lp_norm(z - x, 2) == rec.err_l2 > PERFECT_THRESHOLD
+
+
+# the benchmark's sweep-real and sweep-transition cells
+BENCHMARK_CELLS = [("real", 32, 4), ("real", 32, 12), ("quaternion", 32, 9),
+                   ("quaternion", 32, 16), ("quaternion", 64, 20), ("quaternion", 64, 32)]
+
+
+@pytest.mark.parametrize("base_seed", [1_000_000, 2_000_001, 3_000_002])
+def test_certificate_keeps_every_verdict_of_the_full_solve(tmp_path, base_seed):
+    # the perfect flag of each trial is the one a solve without the hook
+    # gives, and on the cells that fail the certificate decides
+    statuses = set()
+    for mode, m, s in BENCHMARK_CELLS:
+        cfg = small_config(tmp_path, n=256, m_values=(m,), s_rule=(s,), trials=1,
+                           base_seed=base_seed, scalar_mode=mode)
+        rec = run_single_trial(cfg, m, s, 0)
+        Phi, x, y = _sample_problem(cfg, m, s, 0)
+        full = solver.solve(RecoveryProblem(Phi, y, 0.0), harness.SWEEP_SOLVER)
+        assert rec.perfect == (lp_norm(full.x_hat - x, 2) <= PERFECT_THRESHOLD), (m, s)
+        if rec.status != harness.CERTIFIED_FAILURE:
+            assert (rec.status, rec.iterations) == (full.status.value, full.iterations)
+        statuses.add(rec.status)
+    assert harness.CERTIFIED_FAILURE in statuses
+
+
+def test_certificate_leaves_a_minimizer_undecided(tmp_path):
+    # R (32, 4) at base seed 7, trial 0: x is the minimizer (the exact LP
+    # returns it), so no feasible point is shorter, and the trial still
+    # runs to the cap as it did without the certificate
+    cfg = small_config(tmp_path, n=256, m_values=(32,), s_rule=(4,), trials=1,
+                       base_seed=7, scalar_mode="real")
+    rec = run_single_trial(cfg, 32, 4, 0)
+    assert (rec.status, rec.iterations, rec.perfect) == ("max_iters", 3000, False)
+
+
+def test_noisy_and_tall_trials_keep_the_full_solve(tmp_path, monkeypatch):
+    # eta > 0 has no feasible-point certificate, and m >= n has no inverse
+    # of A A^T: neither passes a hook to solve
+    hooks = []
+    real_solve = harness.solve
+
+    def spy(problem, params, on_iteration=None):
+        hooks.append(on_iteration)
+        return real_solve(problem, params, on_iteration)
+
+    monkeypatch.setattr(harness, "solve", spy)
+    run_single_trial(small_config(tmp_path, n=32, m_values=(8,), eta=0.01), 8, 2, 0)
+    run_single_trial(small_config(tmp_path, n=8, m_values=(8,)), 8, 2, 0)
+    run_single_trial(small_config(tmp_path, n=16, m_values=(8,)), 8, 2, 0)
+    assert [hook is None for hook in hooks] == [True, True, False]

@@ -737,3 +737,111 @@ def test_solve_result_does_not_alias_the_state():
         for _ in range(5):
             admm_step(state)
         assert np.array_equal(res.x_hat.data, before)
+
+
+# ---------------------------------------------------------------------------
+# on_iteration stops a solve; the feasible point nearest v_half
+
+
+def _refuse(name):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"a stopped solve called {name}")
+    return refuse
+
+
+@pytest.mark.parametrize("mode", ["real", "quaternion"])
+def test_a_true_return_stops_the_solve_at_that_iteration(monkeypatch, mode):
+    # H (8, 2) and R (32, 4) at base seed 0 run for hundreds of iterations;
+    # a True at iteration 7 ends the solve there with v_half as it stood,
+    # and neither the least-squares gap (nor the embedding it builds) nor
+    # the polish runs
+    m, s = (32, 4) if mode == "real" else (8, 2)
+    problem, _ = sweep_trial(mode, m, s, 0)
+    for name in ("_least_squares_gap", "build_embedding", "_polish_candidate"):
+        monkeypatch.setattr(solver, name, _refuse(name))
+    seen = []
+
+    def stop_at_7(state):
+        seen.append(state.iteration)
+        if state.iteration == 7:
+            seen.append((state.v_half.copy(), residuals(state)[:2]))
+            return True
+        return None
+
+    res = solve(problem, SWEEP_SOLVER, on_iteration=stop_at_7)
+    assert res.status is SolveStatus.STOPPED and res.status.value == "stopped"
+    assert (res.iterations, res.polished) == (7, False)
+    assert seen[:7] == list(range(1, 8)) and len(seen) == 8
+    v_half, (primal, dual) = seen[7]
+    assert np.array_equal(res.x_hat.data, solver.field_vector(v_half, 1 if mode == "real"
+                                                              else 4).data)
+    assert (res.primal_residual, res.dual_residual) == (primal, dual)
+    assert res.objective == lp_norm(res.x_hat, 1)
+
+
+def test_only_a_true_return_stops_the_solve():
+    # None (what a hook without a return gives), False and other values
+    # that are not True let the solve run on to the same result
+    problem, _ = sweep_trial("quaternion", 8, 2, 0)
+    plain = solve(problem, SWEEP_SOLVER)
+    assert plain.status is SolveStatus.CONVERGED
+    for value in (None, False, 0, 1, "stop"):
+        res = solve(problem, SWEEP_SOLVER, on_iteration=lambda state, v=value: v)
+        assert res.status is SolveStatus.CONVERGED
+        assert res.iterations == plain.iterations
+        assert np.array_equal(res.x_hat.data, plain.x_hat.data)
+
+
+@pytest.mark.parametrize("mode, m, s, base_seed",
+                         [("real", 32, 12, 0), ("quaternion", 32, 16, 0),
+                          ("quaternion", 8, 2, 1)])
+def test_feasible_point_solves_the_system(mode, m, s, base_seed):
+    # every 25 iterations, z = v_half - A^T (A A^T)^{-1} r solves A z = b to
+    # rounding, and it is the dense formula's point; the projector keeps the
+    # Gram that M came from and inverts it once, on first use
+    problem, _ = sweep_trial(mode, m, s, base_seed)
+    F, b, group = solver._real_form(problem)
+    A = F if group == 1 else build_embedding(problem.Phi, problem.y)[0]
+    checked, inverses = [], []
+
+    def check(state):
+        projector = state.projector
+        if state.iteration == 1:
+            assert projector._gram_inv is None
+            want_gram = F @ F.T if group == 1 else compact_gram(F)
+            assert np.array_equal(projector.gram, want_gram)
+        if state.iteration % 25:
+            return None
+        z = np.full(state.v_half.shape, np.nan)
+        assert solver.feasible_point(state, z) is z
+        inverses.append(projector._gram_inv)
+        assert np.linalg.norm(A @ z - b) <= 1e-10 * (1 + np.linalg.norm(b))
+        want = state.v_half - A.T @ np.linalg.solve(A @ A.T, A @ state.v_half - b)
+        assert np.allclose(z, want, rtol=0, atol=1e-12 * (1 + np.linalg.norm(want)))
+        checked.append(state.iteration)
+        return state.iteration == 200
+
+    res = solve(problem, SWEEP_SOLVER, on_iteration=check)
+    assert (res.status, res.iterations) == (SolveStatus.STOPPED, 200)
+    assert checked == list(range(25, 201, 25))
+    assert all(inv is inverses[0] for inv in inverses)
+
+
+def test_feasible_point_needs_eta_zero():
+    Phi, _, y = sparse_instance(3, 4, 12, 1, eta=0.1)
+    projector = GraphProjector(component_rows(Phi), 4)
+    state = init_admm_state(projector, vec4(y), 0.1, 1.0)
+    admm_step(state)
+    with pytest.raises(ValueError, match="eta = 0"):
+        solver.feasible_point(state, np.empty(48))
+
+
+@pytest.mark.parametrize("k", [1, 5, 32, 33, 100, 256])
+def test_lower_inverse_inverts_a_cholesky_factor(np_rng, k):
+    # the blocked inverse behind (A A^T)^{-1}, across block splits that are
+    # even, odd and at the base size; it stays lower triangular
+    F = np_rng.standard_normal((k, 4 * k))
+    L = np.linalg.cholesky(F @ F.T)
+    L_inv = solver._lower_inverse(L)
+    assert np.array_equal(L_inv, np.tril(L_inv))
+    assert np.abs(L_inv @ L - np.eye(k)).max() <= 1e-12
